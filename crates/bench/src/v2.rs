@@ -119,8 +119,9 @@ pub struct BenchConfig {
     /// derivation count and an unoptimized derivation figure from one
     /// extra untimed run, so the win is visible in the document.
     pub optimize: Optimize,
-    /// Worker count for the main matrix (`maglog bench --parallel[=N]`;
-    /// 1 = the sequential evaluator).
+    /// Requested worker count (`maglog bench --parallel[=N]`), recorded as
+    /// `environment.workers`: the top of the scaling curve. Strategy cells
+    /// always time the sequential evaluator; only `scaling` runs sharded.
     pub workers: usize,
     /// Extra semi-naive worker counts to measure per cell (the scaling
     /// curve; empty = no scaling section). [`scaling_curve`] builds the
@@ -389,7 +390,8 @@ fn measure_strategy(
     workload: &str,
     size: usize,
 ) -> (Model, StrategyMeasurement) {
-    let run = |p: &Program, edb: &Edb| run_with(p, edb, strategy, cfg.optimize, cfg.workers);
+    // Strategy cells time one worker; `scaling` holds the sharded timings.
+    let run = |p: &Program, edb: &Edb| run_with(p, edb, strategy, cfg.optimize, 1);
     for _ in 1..cfg.warmup.max(1) {
         std::hint::black_box(run(p, edb));
     }
@@ -557,8 +559,9 @@ pub struct BenchEnv {
     pub samples: usize,
     /// Names of the proven rewrites the run enabled (empty = plain run).
     pub optimize: Vec<&'static str>,
-    /// Worker count the main matrix actually evaluated with
-    /// (1 = sequential; `--parallel` resolves 0 before this is recorded).
+    /// Top of the scaling curve the run requested (1 = no curve;
+    /// `--parallel` resolves 0 before this is recorded). Strategy cells
+    /// are timed at one worker regardless.
     pub workers: usize,
 }
 

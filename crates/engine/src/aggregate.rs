@@ -157,9 +157,8 @@ impl Accumulator {
     /// Combine a partial fold into this one: `a.merge(b)` leaves `a` in
     /// the state it would have reached had `b`'s elements been pushed
     /// after `a`'s, in `b`'s push order. This is the `merge` half of the
-    /// create/process/**merge**/convert interface parallel workers need:
-    /// each shard folds its own partition and the round barrier combines
-    /// the partial states.
+    /// create/process/**merge**/convert interface: folds of two partitions
+    /// of a multiset combine into the fold of the whole.
     ///
     /// Exactness: for the lattice folds (`min`/`max`/`and`/`or`/`union`/
     /// `intersect`) and `count`, merge is *bit-for-bit* equal to the
@@ -168,10 +167,9 @@ impl Accumulator {
     /// folds (`sum`/`halfsum`/`avg`/`product`) merge adds/multiplies the
     /// partial states, which reassociates IEEE-754 operations: equal to
     /// the sequential fold up to float rounding, exact on integral data.
-    /// The parallel evaluator therefore never splits one group's fold
-    /// across workers (groups are always folded whole, in enumeration
-    /// order); `merge` combines *group states for distinct keys'
-    /// occurrences* and the lattice-law tests certify the algebra.
+    /// The sharded evaluator therefore never splits one group's fold
+    /// across shards (groups are always folded whole, in enumeration
+    /// order), and the lattice-law tests certify the algebra.
     ///
     /// Winner attribution shifts `other`'s indices by `self.count`, so
     /// provenance witnesses keep pointing at the decisive element of the

@@ -33,10 +33,10 @@ use maglog_datalog::{
     AggEq, AggFunc, Atom, BinOp, CmpOp, Const, Expr, Literal, Pred, Program, Rule, Term, Var,
 };
 use crate::par::{self, FireTally};
-use crate::trace::{NameRef, Ph, Tracer, MAIN_LANE};
+use crate::trace::{NameRef, Ph, MAIN_LANE};
 use std::cell::Cell;
 use std::collections::{BTreeSet, HashMap, HashSet};
-use std::sync::{mpsc, Arc, RwLock};
+use std::sync::Arc;
 use std::time::Instant;
 
 /// Per-round dedup of aggregate-driver re-evaluations: one entry per
@@ -561,33 +561,16 @@ impl<'p> MonotonicEngine<'p> {
             );
         }
 
-        // The sharded parallel evaluator covers the naive and semi-naive
-        // strategies. Provenance capture threads derivation trails through
-        // the firing order, so captured runs stay sequential (their entry
-        // point also clamps `workers`); greedy components settled above.
-        let workers = if C::ENABLED {
+        // Provenance capture threads derivation trails through the firing
+        // order, so captured runs fire on one shard (their entry point also
+        // clamps `workers`); greedy components settled above.
+        let shards = if C::ENABLED {
             1
         } else {
             par::resolve_workers(self.options.workers)
         };
-        if workers > 1 {
-            return self.eval_component_parallel(
-                db,
-                cdb,
-                &execs,
-                ci,
-                prune,
-                demand,
-                &mut rule_pushes,
-                &agg_counters,
-                stats,
-                sink,
-                workers,
-            );
-        }
-
+        let pruned_before = stats.pruned;
         let mut rounds = 0usize;
-        let mut component_pruned = 0u64;
         // Per-round delta, batched per predicate: each driver iterates only
         // the changes of its own predicate instead of rescanning the whole
         // round delta per occurrence.
@@ -606,68 +589,45 @@ impl<'p> MonotonicEngine<'p> {
             if C::ENABLED {
                 cap.begin_round(ci, rounds + 1);
             }
-            let mut derived =
-                RoundBuffer::new(self.program, self.options.check_consistency, &mut rule_pushes);
-            derived.prune = prune;
-            derived.demand = demand;
-            {
+            let derived = if shards == 1 {
+                // The one-shard round fires inline, into the real sink and
+                // capture.
+                let mut buffer = RoundBuffer::new(
+                    self.program,
+                    self.options.check_consistency,
+                    prune,
+                    demand,
+                    &mut rule_pushes,
+                );
                 let ctx = Ctx {
                     program: self.program,
                     db,
                     agg: &agg_counters,
                 };
-                if full {
-                    for (slot, exec) in execs.iter().enumerate() {
-                        stats.firings += 1;
-                        sink.rule_fire_start(exec.ri);
-                        if C::ENABLED {
-                            cap.begin_rule(exec.ri);
-                        }
-                        derived.current = slot;
-                        let mut binding = Binding::new();
-                        exec_steps(
-                            &ctx,
-                            exec.rule,
-                            &exec.plan.steps,
-                            &mut binding,
-                            &mut derived,
-                            cap,
-                        )?;
-                        sink.rule_fire_end(exec.ri);
-                    }
-                } else {
-                    let mut seen_seeds = SeenSeeds::new();
-                    for (ei, exec) in execs.iter().enumerate() {
-                        for driver in &exec.drivers {
-                            let Some(changed) = delta.get(&driver.pred) else {
-                                continue;
-                            };
-                            for dkey in changed {
-                                self.fire_driver(
-                                    &ctx,
-                                    ei,
-                                    exec,
-                                    driver,
-                                    dkey,
-                                    &mut seen_seeds,
-                                    &mut derived,
-                                    stats,
-                                    sink,
-                                    cap,
-                                    None,
-                                )?;
-                            }
-                        }
-                    }
-                }
-            }
-            let derived_count = derived.map.len();
+                self.fire_shard(&ctx, &execs, full, &delta, (0, 1), &mut buffer, stats, sink, cap)?;
+                stats.pruned += buffer.pruned;
+                buffer.map
+            } else {
+                self.fire_sharded(
+                    db,
+                    &execs,
+                    full,
+                    &delta,
+                    rounds + 1,
+                    shards,
+                    prune,
+                    demand,
+                    &mut rule_pushes,
+                    &agg_counters,
+                    stats,
+                    sink,
+                )?
+            };
+            let derived_count = derived.len();
             stats.derivations += derived_count as u64;
-            stats.pruned += derived.pruned;
-            component_pruned += derived.pruned;
 
             // Apply derivations: join into db, recording changed keys.
-            let new_delta = self.apply_round(db, derived.map, &execs, sink, cap);
+            let new_delta = self.apply_round(db, derived, &execs, sink, cap);
             if C::ENABLED {
                 cap.end_round();
             }
@@ -682,18 +642,8 @@ impl<'p> MonotonicEngine<'p> {
                 // A semi-naive pass that saw no changes is a genuine
                 // fixpoint: every rule was either re-fired through a driver
                 // or has no dependency on the component.
-                for (slot, exec) in execs.iter().enumerate() {
-                    sink.rule_derivations(exec.ri, rule_pushes[slot]);
-                }
-                sink.aggregate_totals(
-                    agg_counters.groups.get(),
-                    agg_counters.elements.get(),
-                    agg_counters.peak_bytes.get(),
-                );
-                if component_pruned > 0 {
-                    sink.pruned(ci, component_pruned);
-                }
-                sink.component_end(ci, rounds);
+                let pruned = stats.pruned - pruned_before;
+                finish_component(ci, rounds, &execs, &rule_pushes, &agg_counters, pruned, sink);
                 return Ok(rounds);
             }
             delta = new_delta;
@@ -703,13 +653,11 @@ impl<'p> MonotonicEngine<'p> {
     /// Join one round's buffered derivations into the database, emitting
     /// per-derivation insert outcomes and returning the next round's
     /// delta. The buffered `Arc` keys flow straight into the relation and
-    /// the delta — no re-cloning of tuple storage. Shared by the
-    /// sequential round loop and the parallel barrier (which applies the
-    /// merged shard buffers under the database write lock).
+    /// the delta — no re-cloning of tuple storage.
     fn apply_round<S: EventSink, C: Capture>(
         &self,
         db: &mut Interp,
-        derived: HashMap<(Pred, Arc<Tuple>), DerivedEntry>,
+        derived: Derived,
         execs: &[RuleExec<'_>],
         sink: &mut S,
         cap: &mut C,
@@ -765,369 +713,246 @@ impl<'p> MonotonicEngine<'p> {
         new_delta
     }
 
-    /// Evaluate one component's rounds across a pool of worker threads
-    /// (`--parallel[=N]`), reaching the same fixpoint as the sequential
-    /// round loop.
-    ///
-    /// The database moves into an `RwLock` for the component: workers
-    /// take read locks while firing (the firing phase never writes), the
-    /// orchestrator takes the write lock for the apply phase, and the
-    /// round barrier separates the two, so the lock is never contended.
-    /// Every round, each worker walks the full delta but fires only the
-    /// seeds its shard owns ([`par::shard_of`]; full rounds round-robin
-    /// exec slots instead), so the union of worker firings is exactly the
-    /// sequential firing set and worker-local seed dedup is global dedup.
-    /// At the barrier the per-worker round buffers merge in worker order
-    /// ([`merge_worker_entry`]), rule-fire events replay into the real
-    /// sink in exec order, and the merged buffer is applied exactly as a
-    /// sequential round's would be.
+    /// The firing phase of one `T_P` round for one shard. A full round
+    /// (round 1, and every naive round) fires the shard's exec slots, which
+    /// round-robin across shards; a semi-naive round walks the whole delta
+    /// and fires only the seeds the shard owns ([`claim_seed`]). The one
+    /// shard `(0, 1)` owns every slot and seed.
     #[allow(clippy::too_many_arguments)]
-    fn eval_component_parallel<S: EventSink>(
+    fn fire_shard<S: EventSink, C: Capture>(
         &self,
-        db: &mut Interp,
-        cdb: &BTreeSet<Pred>,
+        ctx: &Ctx<'_>,
         execs: &[RuleExec<'_>],
-        ci: usize,
+        full: bool,
+        delta: &HashMap<Pred, Vec<Arc<Tuple>>>,
+        shard: (usize, usize),
+        derived: &mut RoundBuffer<'_>,
+        stats: &mut EvalStats,
+        sink: &mut S,
+        cap: &mut C,
+    ) -> Result<(), EvalError> {
+        if full {
+            let (me, shards) = shard;
+            for (slot, exec) in execs.iter().enumerate().skip(me).step_by(shards) {
+                stats.firings += 1;
+                sink.rule_fire_start(exec.ri);
+                if C::ENABLED {
+                    cap.begin_rule(exec.ri);
+                }
+                derived.current = slot;
+                let mut binding = Binding::new();
+                exec_steps(ctx, exec.rule, &exec.plan.steps, &mut binding, derived, cap)?;
+                sink.rule_fire_end(exec.ri);
+            }
+            return Ok(());
+        }
+        let mut seen_seeds = SeenSeeds::new();
+        for (ei, exec) in execs.iter().enumerate() {
+            for driver in &exec.drivers {
+                let Some(changed) = delta.get(&driver.pred) else {
+                    continue;
+                };
+                for dkey in changed {
+                    self.fire_driver(
+                        ctx,
+                        ei,
+                        exec,
+                        driver,
+                        dkey,
+                        &mut seen_seeds,
+                        derived,
+                        stats,
+                        sink,
+                        cap,
+                        shard,
+                    )?;
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// The firing phase of one round across `shards` scoped threads
+    /// (`--parallel[=N]`). Each thread runs [`Self::fire_shard`] for its
+    /// shard against the shared database, with a [`FireTally`] sink, into a
+    /// local round buffer. At the barrier the shards' counters fold into
+    /// the component totals, their firings and worker telemetry replay into
+    /// `sink` in shard order, and their buffers merge through
+    /// [`buffer_derivation`], the rule one buffer applies to a repeated key,
+    /// so the merged buffer is the one-shard round's buffer.
+    #[allow(clippy::too_many_arguments)]
+    fn fire_sharded<S: EventSink>(
+        &self,
+        db: &Interp,
+        execs: &[RuleExec<'_>],
+        full: bool,
+        delta: &HashMap<Pred, Vec<Arc<Tuple>>>,
+        round: usize,
+        shards: usize,
         prune: bool,
         demand: Option<&DemandFilter>,
         rule_pushes: &mut [u64],
         agg_counters: &AggCounters,
         stats: &mut EvalStats,
         sink: &mut S,
-        workers: usize,
-    ) -> Result<usize, EvalError> {
-        let db_lock = RwLock::new(std::mem::take(db));
-        // Span recording is opt-in per sink; `None` (the default) keeps
-        // every clock read out of the worker loop and the barrier.
+    ) -> Result<Derived, EvalError> {
+        // Span and latency recording are opt-in per sink; `None` (the
+        // default) keeps every clock read out of the shards and the barrier.
         let tracer = sink.worker_tracer();
-        // Likewise latency recording: a meter means workers time their
-        // firings into local histograms, merged here at the barrier.
         let meter = sink.worker_meter();
-        let result = std::thread::scope(|s| {
-            let (res_tx, res_rx) = mpsc::channel::<WorkerRound>();
-            let mut job_txs = Vec::with_capacity(workers);
-            for w in 0..workers {
-                let (tx, rx) = mpsc::channel::<ParJob>();
-                job_txs.push(tx);
-                let res_tx = res_tx.clone();
-                let db_ref = &db_lock;
-                let wt = tracer.clone();
-                let wm = meter.clone();
-                s.spawn(move || {
-                    self.parallel_worker(
-                        db_ref, execs, w, workers, prune, demand, wt, wm, rx, res_tx,
-                    )
-                });
-            }
-            drop(res_tx);
-
-            let mut rounds = 0usize;
-            let mut component_pruned = 0u64;
-            let mut delta: Arc<HashMap<Pred, Vec<Arc<Tuple>>>> = Arc::new(HashMap::new());
-            loop {
-                if rounds >= self.options.max_rounds {
-                    return Err(EvalError::NonTermination {
-                        rounds,
-                        component: 0,
-                        preds: cdb.iter().map(|p| self.program.pred_name(*p)).collect(),
-                        last_delta: delta.values().map(Vec::len).sum(),
-                    });
-                }
-                let full = rounds == 0 || self.options.strategy == Strategy::Naive;
-                sink.round_start(rounds + 1, full);
-                for tx in &job_txs {
-                    tx.send(ParJob {
-                        round: rounds,
-                        full,
-                        delta: Arc::clone(&delta),
-                    })
-                    .expect("worker exited mid-component");
-                }
-
-                // Round barrier: one result per worker. The wait is
-                // measured from the first arrival — time the orchestrator
-                // spends blocked on stragglers, i.e. shard imbalance.
-                let mut results: Vec<WorkerRound> = Vec::with_capacity(workers);
-                let mut first_arrival: Option<Instant> = None;
-                while results.len() < workers {
-                    let r = res_rx.recv().expect("worker pool hung up mid-round");
-                    debug_assert_eq!(r.round, rounds, "barrier received a stale round");
-                    first_arrival.get_or_insert_with(Instant::now);
-                    results.push(r);
-                }
-                let barrier_wait_nanos = first_arrival
-                    .map(|t| t.elapsed().as_nanos() as u64)
-                    .unwrap_or(0);
-                let barrier_done = tracer.as_ref().map(|t| t.now());
-                let meter_done = meter.as_ref().map(|m| m.now_nanos());
-                results.sort_by_key(|r| r.worker);
-                // The lowest-indexed worker's error wins: deterministic
-                // for a fixed pool size.
-                if let Some(e) = results.iter_mut().find_map(|r| r.error.take()) {
-                    return Err(e);
-                }
-                // Worker lanes: each shard's fire span plus the wait from
-                // its last firing to barrier collection, pushed in worker
-                // order so parallel traces are push-order deterministic.
-                if let (Some(t), Some(done)) = (&tracer, barrier_done) {
-                    for r in &results {
-                        if let Some(span) = r.fire_span {
-                            t.worker_round_spans(r.worker, span, done);
-                        }
-                    }
-                }
-                // Worker latency samples: fill in the barrier wait (time
-                // from each shard's last firing to barrier collection)
-                // and merge each worker's local histograms into the sink,
-                // in worker order so delivery is deterministic.
-                if let Some(done) = meter_done {
-                    for r in &mut results {
-                        if let Some(mut sample) = r.metrics.take() {
-                            sample.wait_nanos = done.saturating_sub(sample.fire_end_nanos);
-                            sink.worker_sample(&sample);
-                        }
-                    }
-                }
-
-                let shard_sizes: Vec<usize> =
-                    results.iter().map(|r| r.firings as usize).collect();
-                for r in &results {
-                    stats.firings += r.firings;
-                    stats.pruned += r.pruned;
-                    component_pruned += r.pruned;
-                    for (slot, n) in r.pushes.iter().enumerate() {
-                        rule_pushes[slot] += n;
-                    }
-                    agg_counters.groups.set(agg_counters.groups.get() + r.groups);
-                    agg_counters
-                        .elements
-                        .set(agg_counters.elements.get() + r.elements);
-                    agg_counters
-                        .peak_bytes
-                        .set(agg_counters.peak_bytes.get().max(r.peak_bytes));
-                }
-                // Replay rule-fire events in exec order so metrics sinks
-                // count firings exactly as sequentially (per-firing wall
-                // time is not meaningful under interleaving; span sinks
-                // already hold the real timings on the worker lanes).
-                for exec in execs {
-                    let fired: u64 = results
-                        .iter()
-                        .map(|r| r.fired.get(&exec.ri).copied().unwrap_or(0))
-                        .sum();
-                    if fired > 0 {
-                        sink.rule_firings(exec.ri, fired);
-                    }
-                }
-
-                // Merge the shard buffers in worker order.
-                let merge_start = tracer.as_ref().map(|t| t.now());
-                use std::collections::hash_map::Entry;
-                let mut merged: HashMap<(Pred, Arc<Tuple>), DerivedEntry> = HashMap::new();
-                let mut merges = 0u64;
-                for r in results {
-                    for (k, entry) in r.entries {
-                        match merged.entry(k) {
-                            Entry::Vacant(v) => {
-                                v.insert(entry);
+        let shard_rounds: Vec<Result<ShardRound, EvalError>> = std::thread::scope(|s| {
+            let handles: Vec<_> = (0..shards)
+                .map(|me| {
+                    let tracer = tracer.clone();
+                    let meter = meter.clone();
+                    s.spawn(move || {
+                        let fire_start = tracer.as_ref().map(|t| t.now());
+                        let meter_start = meter.as_ref().map(|m| m.now_nanos());
+                        let mut pushes = vec![0u64; execs.len()];
+                        let mut tally = FireTally::with_meter(meter.clone());
+                        let mut stats = EvalStats::default();
+                        let agg = AggCounters::default();
+                        let ctx = Ctx {
+                            program: self.program,
+                            db,
+                            agg: &agg,
+                        };
+                        let mut buffer = RoundBuffer::new(
+                            self.program,
+                            self.options.check_consistency,
+                            prune,
+                            demand,
+                            &mut pushes,
+                        );
+                        self.fire_shard(
+                            &ctx,
+                            execs,
+                            full,
+                            delta,
+                            (me, shards),
+                            &mut buffer,
+                            &mut stats,
+                            &mut tally,
+                            &mut NoCapture,
+                        )?;
+                        stats.pruned += buffer.pruned;
+                        let entries = buffer.map;
+                        let finished = Instant::now();
+                        // Read before the thread ends so the span cannot
+                        // include the join; the barrier clamps wait spans
+                        // to start no earlier than this end.
+                        let fire_span = fire_start
+                            .map(|s| (s, tracer.as_ref().map(|t| t.now()).unwrap_or(s)));
+                        let metrics = meter.as_ref().map(|m| {
+                            let end = m.now_nanos();
+                            crate::metrics::WorkerSample {
+                                worker: me,
+                                fire_nanos: end.saturating_sub(meter_start.unwrap_or(end)),
+                                fire_end_nanos: end,
+                                wait_nanos: 0,
+                                rule_nanos: tally.take_rule_nanos(),
                             }
-                            Entry::Occupied(mut o) => {
-                                merges += 1;
-                                let (pred, key) = (o.key().0, Arc::clone(&o.key().1));
-                                merge_worker_entry(
-                                    self.program,
-                                    self.options.check_consistency,
-                                    pred,
-                                    &key,
-                                    o.get_mut(),
-                                    entry,
-                                )?;
-                            }
-                        }
-                    }
-                }
-                if let (Some(t), Some(start)) = (&tracer, merge_start) {
-                    let end = t.now();
-                    t.push_at(start, MAIN_LANE, Ph::Begin, "worker", NameRef::Static("merge"), Vec::new());
-                    t.push_at(end, MAIN_LANE, Ph::End, "worker", NameRef::Static("merge"), Vec::new());
-                }
-                sink.parallel_round(rounds + 1, workers, &shard_sizes, merges, barrier_wait_nanos);
-
-                let derived_count = merged.len();
-                stats.derivations += derived_count as u64;
-                let new_delta = {
-                    let mut guard = db_lock.write().unwrap();
-                    self.apply_round(&mut guard, merged, execs, sink, &mut NoCapture)
-                };
-
-                rounds += 1;
-                let changed: usize = new_delta.values().map(Vec::len).sum();
-                for (pred, keys) in &new_delta {
-                    sink.delta(*pred, keys.len());
-                }
-                sink.round_end(rounds, derived_count, changed);
-                if new_delta.is_empty() {
-                    for (slot, exec) in execs.iter().enumerate() {
-                        sink.rule_derivations(exec.ri, rule_pushes[slot]);
-                    }
-                    sink.aggregate_totals(
-                        agg_counters.groups.get(),
-                        agg_counters.elements.get(),
-                        agg_counters.peak_bytes.get(),
-                    );
-                    if component_pruned > 0 {
-                        sink.pruned(ci, component_pruned);
-                    }
-                    sink.component_end(ci, rounds);
-                    return Ok(rounds);
-                }
-                delta = Arc::new(new_delta);
-            }
-        });
-        *db = db_lock
-            .into_inner()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        result
-    }
-
-    /// One worker thread's loop: for each round job, fire the shard's
-    /// slice of the work against a read-locked database view into a
-    /// worker-local round buffer, and send the buffer plus telemetry to
-    /// the barrier. Exits when the job channel closes (fixpoint or
-    /// error).
-    #[allow(clippy::too_many_arguments)]
-    fn parallel_worker(
-        &self,
-        db_lock: &RwLock<Interp>,
-        execs: &[RuleExec<'_>],
-        me: usize,
-        workers: usize,
-        prune: bool,
-        demand: Option<&DemandFilter>,
-        tracer: Option<Tracer>,
-        meter: Option<crate::metrics::Meter>,
-        jobs: mpsc::Receiver<ParJob>,
-        results: mpsc::Sender<WorkerRound>,
-    ) {
-        while let Ok(job) = jobs.recv() {
-            let fire_start = tracer.as_ref().map(|t| t.now());
-            let meter_start = meter.as_ref().map(|m| m.now_nanos());
-            let mut pushes = vec![0u64; execs.len()];
-            let mut tally = FireTally::with_meter(meter.clone());
-            let mut wstats = EvalStats::default();
-            let agg = AggCounters::default();
-            let mut error = None;
-            let pruned;
-            let entries;
-            {
-                let db = db_lock.read().unwrap();
-                let ctx = Ctx {
-                    program: self.program,
-                    db: &db,
-                    agg: &agg,
-                };
-                let mut derived = RoundBuffer::new(
-                    self.program,
-                    self.options.check_consistency,
-                    &mut pushes,
-                );
-                derived.prune = prune;
-                derived.demand = demand;
-                let fired: Result<(), EvalError> = if job.full {
-                    // Full rounds have no seeds to shard: round-robin the
-                    // exec slots instead.
-                    execs
-                        .iter()
-                        .enumerate()
-                        .filter(|(slot, _)| slot % workers == me)
-                        .try_for_each(|(slot, exec)| {
-                            wstats.firings += 1;
-                            tally.rule_fire_start(exec.ri);
-                            derived.current = slot;
-                            let mut binding = Binding::new();
-                            let fired = exec_steps(
-                                &ctx,
-                                exec.rule,
-                                &exec.plan.steps,
-                                &mut binding,
-                                &mut derived,
-                                &mut NoCapture,
-                            );
-                            tally.rule_fire_end(exec.ri);
-                            fired
+                        });
+                        Ok(ShardRound {
+                            entries,
+                            finished,
+                            fire_span,
+                            metrics,
+                            pushes,
+                            fired: tally.counts,
+                            stats,
+                            agg,
                         })
-                } else {
-                    let mut seen_seeds = SeenSeeds::new();
-                    let mut walk = || -> Result<(), EvalError> {
-                        for (ei, exec) in execs.iter().enumerate() {
-                            for driver in &exec.drivers {
-                                let Some(changed) = job.delta.get(&driver.pred) else {
-                                    continue;
-                                };
-                                for dkey in changed {
-                                    self.fire_driver(
-                                        &ctx,
-                                        ei,
-                                        exec,
-                                        driver,
-                                        dkey,
-                                        &mut seen_seeds,
-                                        &mut derived,
-                                        &mut wstats,
-                                        &mut tally,
-                                        &mut NoCapture,
-                                        Some((me, workers)),
-                                    )?;
-                                }
-                            }
-                        }
-                        Ok(())
-                    };
-                    walk()
-                };
-                if let Err(e) = fired {
-                    error = Some(e);
+                    })
+                })
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic)))
+                .collect()
+        });
+        // The lowest shard's error wins: deterministic for a fixed shard
+        // count.
+        let mut results = shard_rounds.into_iter().collect::<Result<Vec<_>, _>>()?;
+        // Straggler wait: from the first shard finishing to the last.
+        let first = results
+            .iter()
+            .map(|r| r.finished)
+            .min()
+            .expect("at least one shard");
+        let barrier_wait_nanos = results
+            .iter()
+            .map(|r| r.finished.duration_since(first).as_nanos() as u64)
+            .max()
+            .unwrap_or(0);
+        let barrier_done = tracer.as_ref().map(|t| t.now());
+        let meter_done = meter.as_ref().map(|m| m.now_nanos());
+        // Worker lanes: each shard's fire span plus the wait from its last
+        // firing to the barrier, pushed in shard order so parallel traces
+        // are push-order deterministic.
+        if let (Some(t), Some(done)) = (&tracer, barrier_done) {
+            for (w, r) in results.iter().enumerate() {
+                if let Some(span) = r.fire_span {
+                    t.worker_round_spans(w, span, done);
                 }
-                pruned = derived.pruned;
-                entries = std::mem::take(&mut derived.map);
-            }
-            // Measured before the send so the span can't include the
-            // orchestrator's receive; the barrier clamps wait spans to
-            // start no earlier than this end.
-            let fire_span =
-                fire_start.map(|s| (s, tracer.as_ref().map(|t| t.now()).unwrap_or(s)));
-            // Same clamp for the metrics sample: the firing phase ends
-            // here; the orchestrator derives the barrier wait from this
-            // reading and its own collection time.
-            let metrics = meter.as_ref().map(|m| {
-                let end = m.now_nanos();
-                crate::metrics::WorkerSample {
-                    worker: me,
-                    fire_nanos: end.saturating_sub(meter_start.unwrap_or(end)),
-                    fire_end_nanos: end,
-                    wait_nanos: 0,
-                    rule_nanos: tally.take_rule_nanos(),
-                }
-            });
-            let sent = results.send(WorkerRound {
-                worker: me,
-                round: job.round,
-                fire_span,
-                entries,
-                pushes,
-                fired: tally.counts,
-                metrics,
-                firings: wstats.firings,
-                pruned,
-                groups: agg.groups.get(),
-                elements: agg.elements.get(),
-                peak_bytes: agg.peak_bytes.get(),
-                error,
-            });
-            if sent.is_err() {
-                return;
             }
         }
+        // Worker latency samples: fill in the barrier wait and merge each
+        // shard's local histograms into the sink, in shard order.
+        if let Some(done) = meter_done {
+            for r in &mut results {
+                if let Some(mut sample) = r.metrics.take() {
+                    sample.wait_nanos = done.saturating_sub(sample.fire_end_nanos);
+                    sink.worker_sample(&sample);
+                }
+            }
+        }
+        for r in &results {
+            stats.firings += r.stats.firings;
+            stats.pruned += r.stats.pruned;
+            for (total, n) in rule_pushes.iter_mut().zip(&r.pushes) {
+                *total += n;
+            }
+            agg_counters.absorb(&r.agg);
+        }
+        // Replay rule-fire events in exec order so metrics sinks count
+        // firings exactly as the one-shard round does (span sinks already
+        // hold the real timings on the worker lanes).
+        for exec in execs {
+            let fired: u64 = results
+                .iter()
+                .map(|r| r.fired.get(&exec.ri).copied().unwrap_or(0))
+                .sum();
+            if fired > 0 {
+                sink.rule_firings(exec.ri, fired);
+            }
+        }
+        let shard_sizes: Vec<usize> = results.iter().map(|r| r.stats.firings as usize).collect();
+
+        // Merge the shard buffers in shard order.
+        let merge_start = tracer.as_ref().map(|t| t.now());
+        let mut merged = Derived::new();
+        let mut merges = 0u64;
+        for r in results {
+            for ((pred, key), entry) in r.entries {
+                let repeated = buffer_derivation(
+                    self.program,
+                    self.options.check_consistency,
+                    &mut merged,
+                    pred,
+                    key,
+                    entry,
+                )?;
+                merges += repeated as u64;
+            }
+        }
+        if let (Some(t), Some(start)) = (&tracer, merge_start) {
+            let end = t.now();
+            t.push_at(start, MAIN_LANE, Ph::Begin, "worker", NameRef::Static("merge"), Vec::new());
+            t.push_at(end, MAIN_LANE, Ph::End, "worker", NameRef::Static("merge"), Vec::new());
+        }
+        sink.parallel_round(round, shards, &shard_sizes, merges, barrier_wait_nanos);
+        Ok(merged)
     }
 
     /// Best-first evaluation of an eligible `min_real` component.
@@ -1158,7 +983,7 @@ impl<'p> MonotonicEngine<'p> {
         // `Arc`s throughout the heap, the cost table, and the relation.
         let mut candidates: BinaryHeap<Reverse<(Real, Pred, Arc<Tuple>)>> = BinaryHeap::new();
         let mut costs: HashMap<(Pred, Arc<Tuple>), Real> = HashMap::new();
-        let mut component_pruned = 0u64;
+        let pruned_before = stats.pruned;
         for &pred in cdb {
             let rel = std::mem::take(db.relation_mut(pred));
             for (key, cost) in rel.iter_arcs() {
@@ -1176,19 +1001,11 @@ impl<'p> MonotonicEngine<'p> {
                 db,
                 agg: agg_counters,
             };
-            let mut derived = RoundBuffer::new(self.program, false, rule_pushes);
-            derived.demand = demand;
-            for (slot, exec) in execs.iter().enumerate() {
-                stats.firings += 1;
-                sink.rule_fire_start(exec.ri);
-                derived.current = slot;
-                let mut binding = Binding::new();
-                exec_steps(&ctx, exec.rule, &exec.plan.steps, &mut binding, &mut derived, cap)?;
-                sink.rule_fire_end(exec.ri);
-            }
+            let mut derived = RoundBuffer::new(self.program, false, false, demand, rule_pushes);
+            let no_delta = HashMap::new();
+            self.fire_shard(&ctx, execs, true, &no_delta, (0, 1), &mut derived, stats, sink, cap)?;
             stats.derivations += derived.map.len() as u64;
             stats.pruned += derived.pruned;
-            component_pruned += derived.pruned;
             for ((pred, key), entry) in derived.map {
                 if let Some(Value::Num(r)) = entry.cost {
                     let best = costs.entry((pred, key.clone())).or_insert(r);
@@ -1228,8 +1045,7 @@ impl<'p> MonotonicEngine<'p> {
                 .insert_arc(key.clone(), Some(Value::Num(cost)));
 
             // Fire the semi-naive drivers for this single settled atom.
-            let mut derived = RoundBuffer::new(self.program, false, rule_pushes);
-            derived.demand = demand;
+            let mut derived = RoundBuffer::new(self.program, false, false, demand, rule_pushes);
             {
                 let ctx = Ctx {
                     program: self.program,
@@ -1253,7 +1069,7 @@ impl<'p> MonotonicEngine<'p> {
                             stats,
                             sink,
                             cap,
-                            None,
+                            (0, 1),
                         )?;
                     }
                 }
@@ -1261,7 +1077,6 @@ impl<'p> MonotonicEngine<'p> {
             let derived_count = derived.map.len();
             stats.derivations += derived_count as u64;
             stats.pruned += derived.pruned;
-            component_pruned += derived.pruned;
             let mut pushed = 0usize;
             for ((dpred, dkey), dentry) in derived.map {
                 let Some(Value::Num(r)) = dentry.cost else { continue };
@@ -1309,25 +1124,13 @@ impl<'p> MonotonicEngine<'p> {
             sink.delta(pred, 1);
             sink.round_end(pops, derived_count, pushed);
         }
-        for (slot, exec) in execs.iter().enumerate() {
-            sink.rule_derivations(exec.ri, rule_pushes[slot]);
-        }
-        sink.aggregate_totals(
-            agg_counters.groups.get(),
-            agg_counters.elements.get(),
-            agg_counters.peak_bytes.get(),
-        );
-        if component_pruned > 0 {
-            sink.pruned(ci, component_pruned);
-        }
-        sink.component_end(ci, pops);
+        let pruned = stats.pruned - pruned_before;
+        finish_component(ci, pops, execs, rule_pushes, agg_counters, pruned, sink);
         Ok(pops)
     }
 
-    /// Fire one semi-naive driver for one delta tuple. `shard` is the
-    /// parallel evaluator's `(worker, workers)` filter: seeds hashing
-    /// outside the worker's shard are skipped *before* dedup, so each
-    /// seed fires on exactly one worker and worker-local dedup is global.
+    /// Fire one semi-naive driver for one delta tuple, if `shard` (the
+    /// `(shard, shards)` pair of [`Self::fire_shard`]) owns its seed.
     #[allow(clippy::too_many_arguments)]
     fn fire_driver<S: EventSink, C: Capture>(
         &self,
@@ -1341,7 +1144,7 @@ impl<'p> MonotonicEngine<'p> {
         stats: &mut EvalStats,
         sink: &mut S,
         cap: &mut C,
-        shard: Option<(usize, usize)>,
+        shard: (usize, usize),
     ) -> Result<(), EvalError> {
         let rule = exec.rule;
         // Match the driver atom against the delta tuple to get a seed.
@@ -1386,12 +1189,7 @@ impl<'p> MonotonicEngine<'p> {
                 seed.iter().map(|(v, val)| (*v, val.clone())).collect();
             seed_vec.sort_by_key(|(v, _)| *v);
             let disc = driver.lit as u64 * 1024 + 1022;
-            if let Some((me, workers)) = shard {
-                if par::shard_of(exec_index, disc, &seed_vec, workers) != me {
-                    return Ok(());
-                }
-            }
-            if !seen_seeds.insert((exec_index, disc, seed_vec)) {
+            if !claim_seed(seen_seeds, shard, exec_index, disc, seed_vec) {
                 return Ok(());
             }
             stats.firings += 1;
@@ -1453,12 +1251,7 @@ impl<'p> MonotonicEngine<'p> {
             .collect();
         seed_vec.sort_by_key(|(v, _)| *v);
         let disc = driver.lit as u64 * 1024 + driver.conjunct.unwrap_or(1023) as u64;
-        if let Some((me, workers)) = shard {
-            if par::shard_of(exec_index, disc, &seed_vec, workers) != me {
-                return Ok(());
-            }
-        }
-        if !seen_seeds.insert((exec_index, disc, seed_vec)) {
+        if !claim_seed(seen_seeds, shard, exec_index, disc, seed_vec) {
             return Ok(());
         }
         stats.firings += 1;
@@ -1483,83 +1276,69 @@ impl<'p> MonotonicEngine<'p> {
     }
 }
 
-/// One round's work order for a parallel worker. The delta is shared
-/// read-only: every worker walks all of it and fires only its shard.
-struct ParJob {
-    round: usize,
-    full: bool,
-    delta: Arc<HashMap<Pred, Vec<Arc<Tuple>>>>,
+/// Claim a semi-naive seed for `shard`: a seed hashing to another shard
+/// ([`par::shard_of`]) is skipped *before* dedup, so each seed fires on
+/// exactly one shard and shard-local dedup is global. One shard owns
+/// every seed, so the hash is skipped.
+fn claim_seed(
+    seen_seeds: &mut SeenSeeds,
+    shard: (usize, usize),
+    exec_index: usize,
+    disc: u64,
+    seed: Vec<(Var, Value)>,
+) -> bool {
+    let (me, shards) = shard;
+    (shards == 1 || par::shard_of(exec_index, disc, &seed, shards) == me)
+        && seen_seeds.insert((exec_index, disc, seed))
 }
 
-/// One worker's contribution to a round barrier: its shard's round
-/// buffer plus the telemetry the orchestrator folds into the component
-/// totals and replays into the caller's sink.
-struct WorkerRound {
-    worker: usize,
-    round: usize,
+/// Close a component: per-rule derivation totals, aggregate totals, the
+/// pruned count (only when non-zero), then `component_end`. Shared by the
+/// round loop and greedy settling.
+fn finish_component<S: EventSink>(
+    ci: usize,
+    rounds: usize,
+    execs: &[RuleExec<'_>],
+    rule_pushes: &[u64],
+    agg_counters: &AggCounters,
+    pruned: u64,
+    sink: &mut S,
+) {
+    for (exec, &n) in execs.iter().zip(rule_pushes) {
+        sink.rule_derivations(exec.ri, n);
+    }
+    sink.aggregate_totals(
+        agg_counters.groups.get(),
+        agg_counters.elements.get(),
+        agg_counters.peak_bytes.get(),
+    );
+    if pruned > 0 {
+        sink.pruned(ci, pruned);
+    }
+    sink.component_end(ci, rounds);
+}
+
+/// One shard's contribution to a round barrier: its round buffer plus the
+/// telemetry the barrier folds into the component totals and replays into
+/// the caller's sink.
+struct ShardRound {
+    entries: Derived,
+    /// When the firing phase ended; the spread across shards is the
+    /// straggler wait.
+    finished: Instant,
     /// `(start, end)` clock readings around the firing phase, present
     /// only when the sink opted into span tracing.
     fire_span: Option<(u64, u64)>,
-    entries: HashMap<(Pred, Arc<Tuple>), DerivedEntry>,
+    /// Worker-local latency measurements, present only when the sink
+    /// opted into metering ([`EventSink::worker_meter`]).
+    metrics: Option<crate::metrics::WorkerSample>,
     /// Per-exec-slot head derivations this round.
     pushes: Vec<u64>,
     /// Firings per program rule index (event replay).
     fired: HashMap<usize, u64>,
-    /// Worker-local latency measurements, present only when the sink
-    /// opted into metering ([`EventSink::worker_meter`]).
-    metrics: Option<crate::metrics::WorkerSample>,
-    firings: u64,
-    pruned: u64,
-    groups: u64,
-    elements: u64,
-    peak_bytes: u64,
-    error: Option<EvalError>,
-}
-
-/// Combine two workers' buffered derivations of the same `(pred, key)` at
-/// the round barrier (applied in worker-index order). Equal costs keep
-/// the smallest exec-slot attribution — execs fire in ascending slot
-/// order sequentially, so the minimum over shards is exactly the
-/// sequential first deriver. Join-fold relaxation entries combine through
-/// the mergeable accumulators ([`par::merge_costs`]), which is the domain
-/// join the sequential buffer would have applied to the same pushes.
-/// Divergent strict costs on a checked run are a Definition 2.6 conflict,
-/// exactly as within one sequential buffer.
-fn merge_worker_entry(
-    program: &Program,
-    check: bool,
-    pred: Pred,
-    key: &Tuple,
-    into: &mut DerivedEntry,
-    from: DerivedEntry,
-) -> Result<(), EvalError> {
-    into.slot = into.slot.min(from.slot);
-    if into.cost == from.cost {
-        into.joined |= from.joined;
-        return Ok(());
-    }
-    if check && !into.joined && !from.joined {
-        return Err(EvalError::CostConflict {
-            pred: program.pred_name(pred),
-            key: render_key(program, key),
-            value_a: into
-                .cost
-                .as_ref()
-                .map(|v| v.display(program))
-                .unwrap_or_default(),
-            value_b: from
-                .cost
-                .as_ref()
-                .map(|v| v.display(program))
-                .unwrap_or_default(),
-        });
-    }
-    let domain = program.cost_spec(pred).map(|c| c.domain);
-    if let (Some(old), Some(new), Some(d)) = (into.cost.clone(), from.cost, domain) {
-        into.cost = Some(par::merge_costs(d, old, new));
-    }
-    into.joined |= from.joined;
-    Ok(())
+    /// This round's firings and pruned derivations.
+    stats: EvalStats,
+    agg: AggCounters,
 }
 
 /// Build the relaxation plan for an aggregate at body index `li` if the
@@ -1662,7 +1441,7 @@ struct Driver {
 
 /// Is `func` the lattice join-fold of `domain` (so that
 /// `F(S ∪ {d}) = F(S) ⊔ d`)?
-pub(crate) fn is_join_fold(func: AggFunc, domain: maglog_datalog::DomainSpec) -> bool {
+fn is_join_fold(func: AggFunc, domain: maglog_datalog::DomainSpec) -> bool {
     use maglog_datalog::DomainSpec::*;
     matches!(
         (func, domain),
@@ -1688,6 +1467,16 @@ struct AggCounters {
     /// Largest estimated footprint of a live accumulator table seen by
     /// any single aggregate evaluation (struct + set working states).
     peak_bytes: Cell<u64>,
+}
+
+impl AggCounters {
+    /// Fold one shard's round totals into the component's.
+    fn absorb(&self, shard: &AggCounters) {
+        self.groups.set(self.groups.get() + shard.groups.get());
+        self.elements.set(self.elements.get() + shard.elements.get());
+        self.peak_bytes
+            .set(self.peak_bytes.get().max(shard.peak_bytes.get()));
+    }
 }
 
 /// Evaluation context: the program and the current database view (`J ∪ I`
@@ -1728,17 +1517,19 @@ impl From<HashMap<Var, Value>> for Binding {
     }
 }
 
-/// Buffered derivations of one `T_P` application, with the Definition 2.6
-/// consistency check. Each buffered (pred, key) remembers the exec slot of
-/// the rule that first derived it this round, so the apply loop can
-/// attribute insert outcomes; `pushes` accumulates per-slot derivation
-/// counts across the whole component.
+/// Buffered derivations of one `T_P` application, keyed by `(pred, key)`.
+type Derived = HashMap<(Pred, Arc<Tuple>), DerivedEntry>;
+
+/// One shard's buffered derivations of a `T_P` application, with the
+/// Definition 2.6 consistency check. Each buffered (pred, key) remembers
+/// the exec slot of the rule that first derived it this round, so the
+/// apply loop can attribute insert outcomes; `pushes` accumulates per-slot
+/// derivation counts across the whole component.
 struct RoundBuffer<'a> {
     program: &'a Program,
     check: bool,
     /// Relaxed (join-fold) derivations are intentionally partial values:
-    /// resolve same-key collisions by lattice join instead of flagging a
-    /// cost conflict.
+    /// pushes made while this is set are marked `joined`.
     joining: bool,
     /// Exec slot of the rule currently firing (set before `exec_steps`).
     current: usize,
@@ -1758,36 +1549,104 @@ struct RoundBuffer<'a> {
     pruned: u64,
     /// Per-exec-slot head-derivation counts (component lifetime).
     pushes: &'a mut [u64],
-    map: HashMap<(Pred, Arc<Tuple>), DerivedEntry>,
+    map: Derived,
 }
 
 /// One buffered derivation of a round: the (possibly already joined)
 /// cost, the exec slot of the first rule to derive the key this round
 /// (insert-outcome attribution), and whether any contributing push came
-/// from a join-fold relaxation. The parallel barrier merges same-key
-/// entries from different worker shards: `joined` entries combine by
-/// lattice join (through the mergeable accumulators), non-joined entries
-/// with divergent costs are a Definition 2.6 conflict exactly as they
-/// would be within one sequential buffer.
+/// from a join-fold relaxation.
 #[derive(Clone, Debug)]
-pub(crate) struct DerivedEntry {
+struct DerivedEntry {
     cost: Option<Value>,
     slot: usize,
     joined: bool,
 }
 
+impl DerivedEntry {
+    /// Combine another derivation of the same `(pred, key)` in the same
+    /// `T_P` application, from the same shard or another one. Attribution
+    /// keeps the smallest exec slot: slots fire in ascending order, so that
+    /// is the first deriver however the round was sharded. Divergent costs
+    /// on a checked run are a Definition 2.6 conflict unless either side
+    /// came from a join-fold relaxation, whose partial value the lattice
+    /// join resolves (the PreM property); on a conflict the rejected cost
+    /// comes back and `self` is left as it was.
+    fn combine(
+        &mut self,
+        other: DerivedEntry,
+        program: &Program,
+        check: bool,
+        pred: Pred,
+    ) -> Result<(), Option<Value>> {
+        if self.cost != other.cost {
+            if check && !self.joined && !other.joined {
+                return Err(other.cost);
+            }
+            let domain = program.cost_spec(pred).map(|c| RuntimeDomain::new(c.domain));
+            if let (Some(old), Some(new), Some(d)) = (&self.cost, &other.cost, &domain) {
+                self.cost = Some(d.join(old, new));
+            }
+        }
+        self.slot = self.slot.min(other.slot);
+        self.joined |= other.joined;
+        Ok(())
+    }
+}
+
+/// Buffer one derivation into `derived`: a new key is inserted, a repeated
+/// key combines through [`DerivedEntry::combine`]. This is the one
+/// same-key rule, for a shard's own pushes and for the barrier merge of
+/// shard buffers alike. Returns whether the key was already buffered.
+fn buffer_derivation(
+    program: &Program,
+    check: bool,
+    derived: &mut Derived,
+    pred: Pred,
+    key: Arc<Tuple>,
+    entry: DerivedEntry,
+) -> Result<bool, EvalError> {
+    use std::collections::hash_map::Entry;
+    match derived.entry((pred, key)) {
+        Entry::Vacant(slot) => {
+            slot.insert(entry);
+            Ok(false)
+        }
+        Entry::Occupied(mut slot) => match slot.get_mut().combine(entry, program, check, pred) {
+            Ok(()) => Ok(true),
+            Err(rejected) => {
+                let show = |cost: &Option<Value>| {
+                    cost.as_ref().map(|v| v.display(program)).unwrap_or_default()
+                };
+                Err(EvalError::CostConflict {
+                    pred: program.pred_name(pred),
+                    key: render_key(program, &slot.key().1),
+                    value_a: show(&slot.get().cost),
+                    value_b: show(&rejected),
+                })
+            }
+        },
+    }
+}
+
 impl<'a> RoundBuffer<'a> {
-    fn new(program: &'a Program, check: bool, pushes: &'a mut [u64]) -> Self {
+    fn new(
+        program: &'a Program,
+        check: bool,
+        prune: bool,
+        demand: Option<&'a DemandFilter>,
+        pushes: &'a mut [u64],
+    ) -> Self {
         RoundBuffer {
             program,
             check,
             joining: false,
             current: 0,
-            prune: false,
-            demand: None,
+            prune,
+            demand,
             pruned: 0,
             pushes,
-            map: HashMap::new(),
+            map: Derived::new(),
         }
     }
 
@@ -1797,52 +1656,13 @@ impl<'a> RoundBuffer<'a> {
         key: Arc<Tuple>,
         cost: Option<Value>,
     ) -> Result<(), EvalError> {
-        use std::collections::hash_map::Entry;
         self.pushes[self.current] += 1;
-        match self.map.entry((pred, key)) {
-            Entry::Vacant(slot) => {
-                slot.insert(DerivedEntry {
-                    cost,
-                    slot: self.current,
-                    joined: self.joining,
-                });
-                Ok(())
-            }
-            Entry::Occupied(mut slot) => {
-                if slot.get().cost == cost {
-                    slot.get_mut().joined |= self.joining;
-                    return Ok(());
-                }
-                if self.check && !self.joining {
-                    return Err(EvalError::CostConflict {
-                        pred: self.program.pred_name(pred),
-                        key: render_key(self.program, &slot.key().1),
-                        value_a: slot
-                            .get()
-                            .cost
-                            .as_ref()
-                            .map(|v| v.display(self.program))
-                            .unwrap_or_default(),
-                        value_b: cost
-                            .as_ref()
-                            .map(|v| v.display(self.program))
-                            .unwrap_or_default(),
-                    });
-                }
-                // Lenient mode: lattice join. Attribution stays with the
-                // first deriver.
-                let domain = self
-                    .program
-                    .cost_spec(pred)
-                    .map(|c| RuntimeDomain::new(c.domain));
-                let entry = slot.get_mut();
-                if let (Some(old), Some(new), Some(d)) = (entry.cost.clone(), &cost, &domain) {
-                    entry.cost = Some(d.join(&old, new));
-                }
-                entry.joined |= self.joining;
-                Ok(())
-            }
-        }
+        let entry = DerivedEntry {
+            cost,
+            slot: self.current,
+            joined: self.joining,
+        };
+        buffer_derivation(self.program, self.check, &mut self.map, pred, key, entry).map(drop)
     }
 }
 

@@ -80,8 +80,8 @@ pub trait EventSink {
     /// only; fired between the firing phase and the apply phase).
     /// `shard_sizes[w]` is worker `w`'s firing count, `merges` the number
     /// of same-key collisions combined across shards at the barrier, and
-    /// `barrier_wait_nanos` the time the orchestrator spent waiting on
-    /// stragglers after the first worker finished (shard imbalance).
+    /// `barrier_wait_nanos` the time from the first shard finishing its
+    /// firing phase to the last one finishing (shard imbalance).
     fn parallel_round(
         &mut self,
         round: usize,
@@ -129,9 +129,9 @@ pub trait EventSink {
         false
     }
     /// Opt-in handle for worker-side span recording under `--parallel`.
-    /// The parallel orchestrator asks the sink for a [`crate::trace::Tracer`]
-    /// once per component; `None` (the default) keeps the worker hot loop
-    /// free of any clock reads, preserving the zero-cost-when-off property.
+    /// The round loop asks the sink for a [`crate::trace::Tracer`] once
+    /// per sharded round; `None` (the default) keeps the shards free of
+    /// any clock reads, preserving the zero-cost-when-off property.
     fn worker_tracer(&self) -> Option<crate::trace::Tracer> {
         None
     }

@@ -1,23 +1,19 @@
-//! Parallel-evaluation support: deterministic seed sharding, the
-//! barrier-merge of per-shard costs through mergeable accumulators, and
-//! the worker-side event tally.
+//! Sharding support for the round loop: the deterministic seed-to-shard
+//! assignment and the worker-side event tally.
 //!
-//! The parallel evaluator (`--parallel[=N]`) keeps the *logical* fixpoint
-//! identical to the sequential one. Each semi-naive round, every worker
-//! walks the full round delta but fires only the seeds whose hash lands
-//! in its shard ([`shard_of`]); because a given seed always hashes to the
-//! same worker, worker-local seed dedup is global dedup, and the union of
-//! the shard firings is exactly the sequential firing set. Derivations
-//! buffered by different workers for the same `(pred, key)` meet at the
-//! round barrier, where join-fold relaxation entries are combined through
-//! [`Accumulator::merge`] — the `create/process/merge/convert` interface
-//! — which for those lattice folds coincides with the cost domain's join,
-//! so the merged round buffer matches what one sequential buffer would
-//! have held.
+//! Every round of a naive or semi-naive component runs through one round
+//! loop in `eval.rs`; sequential evaluation is its one-shard case. With
+//! `--parallel[=N]` each round's firing phase splits into `N` shards on
+//! scoped threads: every shard walks the full round delta but fires only
+//! the seeds whose hash lands in it ([`shard_of`]). A given seed always
+//! hashes to the same shard, so shard-local seed dedup is global dedup and
+//! the union of the shard firings is exactly the one-shard firing set. The
+//! shards' round buffers meet at the round barrier, where a key buffered by
+//! several shards combines by the same rule a single buffer applies to a
+//! repeated push, so the merged buffer is the one-shard buffer.
 
-use crate::aggregate::Accumulator;
-use crate::value::{RuntimeDomain, Value};
-use maglog_datalog::{AggFunc, DomainSpec, Var};
+use crate::value::Value;
+use maglog_datalog::Var;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 
@@ -42,7 +38,7 @@ pub fn resolve_workers(requested: usize) -> usize {
 /// The shard (worker index in `0..workers`) that owns a semi-naive seed.
 ///
 /// The hash runs over the same `(exec slot, driver discriminator, sorted
-/// seed binding)` triple the sequential evaluator deduplicates on, through
+/// seed binding)` triple the round loop deduplicates on, through
 /// `DefaultHasher::new()` — SipHash with fixed keys, so the assignment is
 /// stable within a run and across runs of the same binary. Determinism of
 /// the *result* never depends on the hash values: any assignment yields
@@ -60,46 +56,10 @@ pub(crate) fn shard_of(
     (h.finish() % workers as u64) as usize
 }
 
-/// The aggregate function whose fold is `domain`'s lattice join — the
-/// inverse of the join-fold relaxation test. `PosNat` (product) has no
-/// join-fold aggregate, matching the relaxation's refusal to fire there.
-pub(crate) fn join_fold_func(domain: DomainSpec) -> Option<AggFunc> {
-    use DomainSpec::*;
-    match domain {
-        MinReal => Some(AggFunc::Min),
-        MaxReal | NonNegReal | Nat => Some(AggFunc::Max),
-        BoolOr => Some(AggFunc::Or),
-        BoolAnd => Some(AggFunc::And),
-        SetUnion => Some(AggFunc::Union),
-        SetIntersect => Some(AggFunc::Intersect),
-        PosNat => None,
-    }
-}
-
-/// Combine two shards' partial costs for one derived key at the round
-/// barrier: route through [`Accumulator::merge`] when the domain has a
-/// join-fold aggregate (each partial cost is a one-element accumulator;
-/// the merged fold *is* the domain join), and fall back to the domain
-/// join directly otherwise.
-pub(crate) fn merge_costs(domain: DomainSpec, a: Value, b: Value) -> Value {
-    if let Some(func) = join_fold_func(domain) {
-        let mut acc = Accumulator::new(func);
-        acc.push(&a);
-        let mut other = Accumulator::new(func);
-        other.push(&b);
-        acc.merge(other);
-        if let Some(v) = acc.finish() {
-            return v;
-        }
-    }
-    RuntimeDomain::new(domain).join(&a, &b)
-}
-
 /// Worker-side event sink: counts rule firings per program rule index so
-/// the orchestrator can replay `rule_fire_start`/`rule_fire_end` pairs
-/// into the real sink at the barrier. Workers cannot share the caller's
-/// sink (it is `&mut` on the orchestrating thread), and counting sinks
-/// only need the totals. When the orchestrator's sink hands out a
+/// the barrier can replay them into the real sink. Shard threads cannot
+/// share the caller's sink (it is `&mut` on the calling thread), and
+/// counting sinks only need the totals. When the caller's sink hands out a
 /// [`Meter`](crate::metrics::Meter), the tally additionally times each
 /// firing into worker-local [`Histogram`](crate::metrics::Histogram)s —
 /// per-firing *ordering* is meaningless under interleaving, but the
@@ -149,7 +109,6 @@ impl crate::events::EventSink for FireTally {
 mod tests {
     use super::*;
     use maglog_datalog::Sym;
-    use maglog_lattice::Real;
 
     #[test]
     fn shard_assignment_is_deterministic_and_in_range() {
@@ -178,55 +137,6 @@ mod tests {
             owned[shard_of(0, 1023, &seed, 4)] += 1;
         }
         assert!(owned.iter().all(|&n| n > 0), "degenerate spread: {owned:?}");
-    }
-
-    #[test]
-    fn join_fold_func_inverts_the_relaxation_test() {
-        use DomainSpec::*;
-        for domain in [
-            MaxReal, MinReal, NonNegReal, BoolOr, BoolAnd, Nat, PosNat, SetUnion, SetIntersect,
-        ] {
-            match join_fold_func(domain) {
-                Some(func) => assert!(
-                    crate::eval::is_join_fold(func, domain),
-                    "{func:?} is not the join-fold of {domain:?}"
-                ),
-                None => assert!(
-                    ![
-                        AggFunc::Min,
-                        AggFunc::Max,
-                        AggFunc::Or,
-                        AggFunc::And,
-                        AggFunc::Union,
-                        AggFunc::Intersect
-                    ]
-                    .iter()
-                    .any(|&f| crate::eval::is_join_fold(f, domain)),
-                    "{domain:?} has a join-fold this map misses"
-                ),
-            }
-        }
-    }
-
-    #[test]
-    fn merge_costs_agrees_with_the_domain_join() {
-        let cases = [
-            (DomainSpec::MinReal, 3.0, 7.0),
-            (DomainSpec::MaxReal, 3.0, 7.0),
-            (DomainSpec::NonNegReal, 0.0, 2.0),
-            (DomainSpec::Nat, 5.0, 2.0),
-            (DomainSpec::PosNat, 5.0, 2.0),
-        ];
-        for (domain, x, y) in cases {
-            let a = Value::Num(Real::new(x));
-            let b = Value::Num(Real::new(y));
-            let want = RuntimeDomain::new(domain).join(&a, &b);
-            assert_eq!(merge_costs(domain, a, b), want, "{domain:?}");
-        }
-        let t = Value::Bool(true);
-        let f = Value::Bool(false);
-        assert_eq!(merge_costs(DomainSpec::BoolOr, f.clone(), t.clone()), t);
-        assert_eq!(merge_costs(DomainSpec::BoolAnd, f.clone(), t), f);
     }
 
     #[test]

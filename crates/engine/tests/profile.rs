@@ -340,3 +340,73 @@ fn non_termination_names_the_component_and_its_delta() {
         other => panic!("expected NonTermination, got {other:?}"),
     }
 }
+
+/// The deterministic per-rule and per-round counters of one profiled run:
+/// per rule (firings, derivations, inserted, improved, noop), per round
+/// (firings, derivations, inserted, improved, noop, changed, deltas).
+type Counters = (
+    Vec<(usize, u64, u64, u64, u64, u64)>,
+    Vec<(u64, usize, u64, u64, u64, usize, Vec<(String, usize)>)>,
+);
+
+fn counters(report: &ProfileReport) -> Counters {
+    let rules = report
+        .rules
+        .iter()
+        .map(|r| (r.rule, r.firings, r.derivations, r.inserted, r.improved, r.noop))
+        .collect();
+    let rounds = report
+        .components
+        .iter()
+        .flat_map(|c| &c.rounds_detail)
+        .map(|r| {
+            let deltas = r.deltas.clone();
+            (r.firings, r.derivations, r.inserted, r.improved, r.noop, r.changed, deltas)
+        })
+        .collect();
+    (rules, rounds)
+}
+
+#[test]
+fn sharded_rounds_attribute_every_counter_like_one_shard() {
+    // The barrier keeps the smallest exec slot for a key several shards
+    // derived, so insert outcomes land on the same rule as in the one-shard
+    // round, and the per-rule and per-round counters match exactly.
+    let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/../../programs");
+    let mut checked = 0;
+    for entry in std::fs::read_dir(dir).expect("programs/ exists") {
+        let path = entry.expect("read programs/ entry").path();
+        if path.extension().and_then(|e| e.to_str()) != Some("mgl") {
+            continue;
+        }
+        let src = std::fs::read_to_string(&path).expect("read sample program");
+        let program = parse_program(&src).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+        for strategy in [Strategy::SemiNaive, Strategy::Naive] {
+            let run = |workers: usize| {
+                let engine = MonotonicEngine::with_options(
+                    &program,
+                    EvalOptions {
+                        strategy,
+                        workers,
+                        ..Default::default()
+                    },
+                );
+                let mut sink = MetricsSink::new(&program, strategy);
+                engine.evaluate_with_sink(&Edb::new(), &mut sink).unwrap();
+                counters(&sink.finish())
+            };
+            let one = run(1);
+            for workers in [2, 4] {
+                assert_eq!(
+                    one,
+                    run(workers),
+                    "{} {} at {workers} workers",
+                    path.display(),
+                    strategy.name()
+                );
+            }
+        }
+        checked += 1;
+    }
+    assert!(checked >= 4, "expected several sample programs, saw {checked}");
+}

@@ -78,7 +78,7 @@ fn assert_golden(name: &str, actual: &str) {
 
 #[test]
 fn sequential_trace_is_golden_and_valid() {
-    let json = traced_eval(0, 1);
+    let json = traced_eval(1, 1);
     let check = validate_chrome_trace(&json).expect("sequential trace validates");
     assert_eq!(check.lanes, 1, "sequential run uses only the main lane");
     assert!(check.heap_samples > 0);
@@ -105,7 +105,7 @@ fn tracing_does_not_perturb_the_model() {
     // sequentially and in parallel.
     let program = parse_program(SHORTEST_PATH).unwrap();
     let plain = MonotonicEngine::new(&program).evaluate(&Edb::new()).unwrap();
-    for workers in [0usize, 2] {
+    for workers in [1usize, 2] {
         let engine = MonotonicEngine::with_options(
             &program,
             EvalOptions {

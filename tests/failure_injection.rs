@@ -139,17 +139,26 @@ fn lenient_mode_resolves_conflicts_by_join() {
         "#,
     )
     .unwrap();
-    let engine = MonotonicEngine::with_options(
-        &p,
-        EvalOptions {
-            allow_unchecked: true,
-            check_consistency: false,
-            ..Default::default()
-        },
-    );
-    let m = engine.evaluate(&Edb::new()).unwrap();
-    // max_real join: the larger value wins.
-    assert_eq!(m.cost_of(&p, "p", &["x"]).unwrap().as_f64(), Some(2.0));
+    // The colliding pushes meet in one round buffer or at the shard
+    // barrier depending on the worker count; both resolve by the join.
+    for workers in [1usize, 2, 4] {
+        let engine = MonotonicEngine::with_options(
+            &p,
+            EvalOptions {
+                allow_unchecked: true,
+                check_consistency: false,
+                workers,
+                ..Default::default()
+            },
+        );
+        let m = engine.evaluate(&Edb::new()).unwrap();
+        // max_real join: the larger value wins.
+        assert_eq!(
+            m.cost_of(&p, "p", &["x"]).unwrap().as_f64(),
+            Some(2.0),
+            "workers={workers}"
+        );
+    }
 }
 
 // ---- Divergence ----
@@ -164,16 +173,26 @@ fn divergent_arithmetic_reports_rounds_and_component() {
         "#,
     )
     .unwrap();
-    let engine = MonotonicEngine::with_options(
-        &p,
-        EvalOptions {
-            max_rounds: 30,
-            ..Default::default()
-        },
-    );
-    match engine.evaluate(&Edb::new()) {
-        Err(EvalError::NonTermination { rounds, .. }) => assert_eq!(rounds, 30),
-        other => panic!("expected NonTermination, got {other:?}"),
+    // The round cap, the component and the last delta are the same at
+    // every worker count.
+    for workers in [1usize, 2, 4] {
+        let engine = MonotonicEngine::with_options(
+            &p,
+            EvalOptions {
+                max_rounds: 30,
+                workers,
+                ..Default::default()
+            },
+        );
+        match engine.evaluate(&Edb::new()) {
+            Err(EvalError::NonTermination {
+                rounds,
+                component,
+                last_delta,
+                ..
+            }) => assert_eq!((rounds, component, last_delta), (30, 0, 1), "workers={workers}"),
+            other => panic!("workers={workers}: expected NonTermination, got {other:?}"),
+        }
     }
     // And the termination analysis predicted it.
     let report = check_program(&p);
