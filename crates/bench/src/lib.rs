@@ -45,9 +45,9 @@ pub fn run_greedy(program: &Program, edb: &Edb) -> Model {
 }
 
 /// Evaluate once under `strategy` with a [`MetricsSink`] attached and
-/// return the profile report. Used by `experiments --profile` for an extra
-/// *untimed* instrumented run per strategy, so the timed samples stay free
-/// of even the (tiny) instrumented-build overhead.
+/// return the profile report. Bench v2 uses it for an extra *untimed*
+/// instrumented run, so the timed samples stay free of even the (tiny)
+/// instrumented-build overhead.
 pub fn profile_run(program: &Program, edb: &Edb, strategy: Strategy) -> ProfileReport {
     let engine = MonotonicEngine::with_options(
         program,
@@ -80,127 +80,6 @@ pub fn fmt_secs(s: f64) -> String {
         format!("{s:.2} s")
     }
 }
-
-/// One workload's measurements for `BENCH_engine.json` (written by
-/// `experiments --json`): wall-clock per strategy, model size, and
-/// rounds-to-fixpoint, so the perf trajectory is tracked in-repo.
-#[derive(Clone, Debug)]
-pub struct BenchRecord {
-    pub workload: String,
-    pub size: usize,
-    pub edb_facts: usize,
-    /// Stored tuples in the fixpoint model (all strategies agree).
-    pub tuples: usize,
-    /// Rounds summed over components. The greedy figure counts queue pops
-    /// (its components settle one atom per "round").
-    pub rounds_seminaive: usize,
-    pub rounds_naive: usize,
-    pub rounds_greedy: usize,
-    pub secs_seminaive: f64,
-    pub secs_naive: f64,
-    pub secs_greedy: f64,
-    /// Counter summaries from an extra untimed instrumented run per
-    /// strategy (`experiments --json --profile`); `None` without the flag.
-    pub profile: Option<BenchProfile>,
-}
-
-/// Per-strategy counter summaries embedded in a [`BenchRecord`].
-#[derive(Clone, Debug)]
-pub struct BenchProfile {
-    pub seminaive: ProfileSummary,
-    pub naive: ProfileSummary,
-    pub greedy: ProfileSummary,
-}
-
-/// The counters from one strategy's [`ProfileReport`] that are worth
-/// tracking alongside wall-clock: work done (firings, derivations, insert
-/// outcomes) and index behaviour (probes, hits).
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct ProfileSummary {
-    pub firings: u64,
-    pub derivations: u64,
-    pub inserted: u64,
-    pub improved: u64,
-    pub noop: u64,
-    pub index_probes: u64,
-    pub index_hits: u64,
-}
-
-impl ProfileSummary {
-    pub fn from_report(report: &ProfileReport) -> Self {
-        let (inserted, improved, noop) = report.total_outcomes();
-        ProfileSummary {
-            firings: report.total_firings(),
-            derivations: report.total_derivations(),
-            inserted,
-            improved,
-            noop,
-            index_probes: report.indexes.iter().map(|i| i.stats.probes).sum(),
-            index_hits: report.indexes.iter().map(|i| i.stats.hits).sum(),
-        }
-    }
-
-    fn to_json(&self) -> String {
-        format!(
-            "{{\"firings\": {}, \"derivations\": {}, \"inserted\": {}, \"improved\": {}, \
-             \"noop\": {}, \"index_probes\": {}, \"index_hits\": {}}}",
-            self.firings,
-            self.derivations,
-            self.inserted,
-            self.improved,
-            self.noop,
-            self.index_probes,
-            self.index_hits
-        )
-    }
-}
-
-/// Render benchmark records in the **legacy** `maglog-bench-v1` schema.
-/// `BENCH_engine.json` is written in v2 now ([`v2::render_v2`]); this stays
-/// so the v1→v2 baseline reader ([`v2::parse_baseline`]) has a writer to
-/// test against, and so old checked-out baselines remain reproducible.
-pub fn render_bench_json(commit: &str, samples: usize, records: &[BenchRecord]) -> String {
-    let mut out = format!(
-        "{{\n  \"schema\": \"maglog-bench-v1\",\n  \"commit\": \"{}\",\n  \
-         \"samples\": {samples},\n  \"workloads\": [\n",
-        json_escape(commit)
-    );
-    for (i, r) in records.iter().enumerate() {
-        let profile = match &r.profile {
-            Some(p) => format!(
-                ",\n      \"profile\": {{\n        \"seminaive\": {},\n        \
-                 \"naive\": {},\n        \"greedy\": {}\n      }}",
-                p.seminaive.to_json(),
-                p.naive.to_json(),
-                p.greedy.to_json()
-            ),
-            None => String::new(),
-        };
-        out.push_str(&format!(
-            "    {{\"workload\": \"{}\", \"size\": {}, \"edb_facts\": {}, \"tuples\": {},\n      \
-             \"rounds\": {{\"seminaive\": {}, \"naive\": {}, \"greedy\": {}}},\n      \
-             \"seconds\": {{\"seminaive\": {}, \"naive\": {}, \"greedy\": {}}}{}}}{}\n",
-            json_escape(&r.workload),
-            r.size,
-            r.edb_facts,
-            r.tuples,
-            r.rounds_seminaive,
-            r.rounds_naive,
-            r.rounds_greedy,
-            json_num(r.secs_seminaive),
-            json_num(r.secs_naive),
-            json_num(r.secs_greedy),
-            profile,
-            if i + 1 < records.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
-}
-
-// The JSON helpers used to be hand-rolled here too; they now live in the
-// engine's shared `jsonish` module alongside the tree builder/parser.
-pub use maglog_engine::jsonish::{json_escape, json_num};
 
 pub mod harness {
     //! Minimal drop-in benchmark harness with criterion's API shape.
@@ -330,78 +209,5 @@ pub mod harness {
                 $( $group(); )+
             }
         };
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn bench_json_renders_stable_shape() {
-        let mut rec = BenchRecord {
-            workload: "shortest_path".into(),
-            size: 64,
-            edb_facts: 192,
-            tuples: 4200,
-            rounds_seminaive: 12,
-            rounds_naive: 12,
-            rounds_greedy: 345,
-            secs_seminaive: 0.049,
-            secs_naive: 0.5,
-            secs_greedy: 0.04,
-            profile: None,
-        };
-        let doc = render_bench_json("abc1234", 3, &[rec.clone()]);
-        assert!(doc.contains("\"schema\": \"maglog-bench-v1\""));
-        assert!(doc.contains("\"commit\": \"abc1234\""));
-        assert!(doc.contains("\"samples\": 3"));
-        assert!(doc.contains("\"workload\": \"shortest_path\""));
-        assert!(doc.contains("\"seminaive\": 0.049"));
-        // Integral floats keep a decimal point.
-        assert!(doc.contains("\"naive\": 0.5"));
-        assert!(!doc.contains("\"profile\""));
-        assert_eq!(doc.matches('{').count(), doc.matches('}').count());
-
-        // With --profile summaries attached, the per-strategy counters land
-        // inside the workload object.
-        let summary = ProfileSummary {
-            firings: 9,
-            derivations: 8,
-            inserted: 6,
-            improved: 0,
-            noop: 2,
-            index_probes: 2,
-            index_hits: 2,
-        };
-        rec.profile = Some(BenchProfile {
-            seminaive: summary.clone(),
-            naive: summary.clone(),
-            greedy: summary,
-        });
-        let doc = render_bench_json("abc1234", 3, &[rec]);
-        assert!(doc.contains("\"profile\""));
-        assert!(doc.contains("\"index_probes\": 2"));
-        assert_eq!(doc.matches('{').count(), doc.matches('}').count());
-    }
-
-    #[test]
-    fn profile_summary_tracks_a_real_run() {
-        let p = program(
-            "e(a, b). e(b, c).\n\
-             tc(X, Y) :- e(X, Y).\n\
-             tc(X, Y) :- tc(X, Z), e(Z, Y).",
-        );
-        let report = profile_run(&p, &Edb::new(), Strategy::SemiNaive);
-        let s = ProfileSummary::from_report(&report);
-        assert!(s.firings > 0);
-        assert!(s.derivations > 0);
-        assert_eq!(s.inserted, 3); // tc(a,b), tc(b,c), tc(a,c); facts load directly
-    }
-
-    #[test]
-    fn json_escape_handles_specials() {
-        assert_eq!(json_escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
-        assert_eq!(json_num(2.0), "2.0");
     }
 }

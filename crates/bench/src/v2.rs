@@ -1283,21 +1283,11 @@ mod tests {
 
     #[test]
     fn v1_documents_still_read_as_baselines() {
-        let rec = crate::BenchRecord {
-            workload: "shortest_path".into(),
-            size: 16,
-            edb_facts: 48,
-            tuples: 120,
-            rounds_seminaive: 4,
-            rounds_naive: 4,
-            rounds_greedy: 40,
-            secs_seminaive: 0.010,
-            secs_naive: 0.020,
-            secs_greedy: 0.015,
-            profile: None,
-        };
-        let doc = crate::render_bench_json("abc1234", 3, &[rec]);
-        let base = parse_baseline(&doc).unwrap();
+        let doc = r#"{"schema": "maglog-bench-v1", "commit": "abc1234", "samples": 3, "workloads": [
+  {"workload": "shortest_path", "size": 16, "edb_facts": 48, "tuples": 120,
+   "rounds": {"seminaive": 4, "naive": 4, "greedy": 40},
+   "seconds": {"seminaive": 0.01, "naive": 0.02, "greedy": 0.015}}]}"#;
+        let base = parse_baseline(doc).unwrap();
         assert_eq!(base.schema, "maglog-bench-v1");
         let cell = base
             .cells
@@ -1406,20 +1396,13 @@ mod tests {
 
         // A v1 baseline has rounds but no work counters; when rounds
         // agree the regression reports no counter attribution at all.
-        let rec = crate::BenchRecord {
-            workload: "shortest_path".into(),
-            size: 16,
-            edb_facts: 48,
-            tuples: 120,
-            rounds_seminaive: 4,
-            rounds_naive: 4,
-            rounds_greedy: 4,
-            secs_seminaive: 0.005,
-            secs_naive: 0.005,
-            secs_greedy: 0.005,
-            profile: None,
-        };
-        let v1 = parse_baseline(&crate::render_bench_json("abc", 1, &[rec])).unwrap();
+        let v1 = parse_baseline(
+            r#"{"schema": "maglog-bench-v1", "commit": "abc", "samples": 1, "workloads": [
+  {"workload": "shortest_path", "size": 16, "edb_facts": 48, "tuples": 120,
+   "rounds": {"seminaive": 4, "naive": 4, "greedy": 4},
+   "seconds": {"seminaive": 0.005, "naive": 0.005, "greedy": 0.005}}]}"#,
+        )
+        .unwrap();
         let fail = gate(std::slice::from_ref(&m), &v1, 1.25);
         assert_eq!(fail.regressions.len(), 3);
         assert!(fail.regressions.iter().all(|r| r.counters.is_empty()));

@@ -18,7 +18,7 @@
 use crate::aggregate;
 use crate::edb::Edb;
 use crate::error::EvalError;
-use crate::events::{EventSink, InsertOutcome, NoopSink};
+use crate::events::{Event, EventSink, InsertOutcome, NoopSink};
 use crate::interp::{Interp, Sig, Tuple};
 use crate::model::Model;
 use crate::plan::{plan_rule, prem_rewrites, Optimize, Plan, Rewrites, Step};
@@ -276,11 +276,13 @@ impl<'p> MonotonicEngine<'p> {
 
         let mut stats = EvalStats::default();
         for line in rewrites.decisions.iter().flatten() {
-            sink.optimization(line);
+            sink.on(&Event::Optimization { decision: line });
             stats.optimizations.push(line.clone());
         }
         if let Some(d) = &demand {
-            sink.optimization(&d.decision);
+            sink.on(&Event::Optimization {
+                decision: &d.decision,
+            });
             stats.optimizations.push(d.decision.clone());
         }
 
@@ -327,16 +329,23 @@ impl<'p> MonotonicEngine<'p> {
         }
         if skipped > 0 {
             let line = format!("demand: skipped {skipped} component(s) outside the cone");
-            sink.optimization(&line);
+            sink.on(&Event::Optimization { decision: &line });
             stats.optimizations.push(line);
         }
         for pred in db.preds().collect::<Vec<_>>() {
             if let Some(rel) = db.relation(pred) {
-                sink.index_stats(pred, rel.index_sigs().len(), rel.index_stats());
+                sink.on(&Event::IndexStats {
+                    pred,
+                    sigs: rel.index_sigs().len(),
+                    stats: rel.index_stats(),
+                });
                 // The deep-size walk is O(db); only pay it for sinks that
                 // report memory.
                 if sink.wants_relation_memory() {
-                    sink.relation_memory(pred, rel.heap_bytes());
+                    sink.on(&Event::RelationMemory {
+                        pred,
+                        memory: rel.heap_bytes(),
+                    });
                 }
             }
         }
@@ -389,9 +398,9 @@ impl<'p> MonotonicEngine<'p> {
                 if self.options.check_consistency {
                     return Err(EvalError::CostConflict {
                         pred: self.program.pred_name(pred),
-                        key: format!("{key:?}"),
-                        value_a: old.to_string(),
-                        value_b: new.to_string(),
+                        key: render_key(self.program, &key),
+                        value_a: old.display(self.program),
+                        value_b: new.display(self.program),
                     });
                 }
                 let domain = RuntimeDomain::new(
@@ -533,10 +542,14 @@ impl<'p> MonotonicEngine<'p> {
             Strategy::SemiNaive
         };
         let cdb_preds: Vec<Pred> = cdb.iter().copied().collect();
-        sink.component_start(ci, used, &cdb_preds);
+        sink.on(&Event::ComponentStart {
+            component: ci,
+            strategy: used,
+            cdb: &cdb_preds,
+        });
 
         // Per-exec-slot head-derivation counts, flushed as
-        // `rule_derivations` events at component end.
+        // `RuleDerivations` events at component end.
         let mut rule_pushes = vec![0u64; execs.len()];
         // Aggregate-evaluation totals (interior mutability: `Ctx` is shared
         // immutably down the recursive step executor).
@@ -585,7 +598,10 @@ impl<'p> MonotonicEngine<'p> {
                 });
             }
             let full = rounds == 0 || self.options.strategy == Strategy::Naive;
-            sink.round_start(rounds + 1, full);
+            sink.on(&Event::RoundStart {
+                round: rounds + 1,
+                full,
+            });
             if C::ENABLED {
                 cap.begin_round(ci, rounds + 1);
             }
@@ -635,9 +651,16 @@ impl<'p> MonotonicEngine<'p> {
             rounds += 1;
             let changed: usize = new_delta.values().map(Vec::len).sum();
             for (pred, keys) in &new_delta {
-                sink.delta(*pred, keys.len());
+                sink.on(&Event::Delta {
+                    pred: *pred,
+                    size: keys.len(),
+                });
             }
-            sink.round_end(rounds, derived_count, changed);
+            sink.on(&Event::RoundEnd {
+                round: rounds,
+                derivations: derived_count,
+                changed,
+            });
             if new_delta.is_empty() {
                 // A semi-naive pass that saw no changes is a genuine
                 // fixpoint: every rule was either re-fired through a driver
@@ -708,7 +731,11 @@ impl<'p> MonotonicEngine<'p> {
                     outcome
                 }
             };
-            sink.insert_outcome(execs[slot].ri, pred, outcome);
+            sink.on(&Event::Insert {
+                rule: execs[slot].ri,
+                pred,
+                outcome,
+            });
         }
         new_delta
     }
@@ -735,14 +762,14 @@ impl<'p> MonotonicEngine<'p> {
             let (me, shards) = shard;
             for (slot, exec) in execs.iter().enumerate().skip(me).step_by(shards) {
                 stats.firings += 1;
-                sink.rule_fire_start(exec.ri);
+                sink.on(&Event::FireStart { rule: exec.ri });
                 if C::ENABLED {
                     cap.begin_rule(exec.ri);
                 }
                 derived.current = slot;
                 let mut binding = Binding::new();
                 exec_steps(ctx, exec.rule, &exec.plan.steps, &mut binding, derived, cap)?;
-                sink.rule_fire_end(exec.ri);
+                sink.on(&Event::FireEnd { rule: exec.ri });
             }
             return Ok(());
         }
@@ -903,7 +930,7 @@ impl<'p> MonotonicEngine<'p> {
             for r in &mut results {
                 if let Some(mut sample) = r.metrics.take() {
                     sample.wait_nanos = done.saturating_sub(sample.fire_end_nanos);
-                    sink.worker_sample(&sample);
+                    sink.on(&Event::WorkerSample(&sample));
                 }
             }
         }
@@ -924,7 +951,10 @@ impl<'p> MonotonicEngine<'p> {
                 .map(|r| r.fired.get(&exec.ri).copied().unwrap_or(0))
                 .sum();
             if fired > 0 {
-                sink.rule_firings(exec.ri, fired);
+                sink.on(&Event::Firings {
+                    rule: exec.ri,
+                    count: fired,
+                });
             }
         }
         let shard_sizes: Vec<usize> = results.iter().map(|r| r.stats.firings as usize).collect();
@@ -951,7 +981,13 @@ impl<'p> MonotonicEngine<'p> {
             t.push_at(start, MAIN_LANE, Ph::Begin, "worker", NameRef::Static("merge"), Vec::new());
             t.push_at(end, MAIN_LANE, Ph::End, "worker", NameRef::Static("merge"), Vec::new());
         }
-        sink.parallel_round(round, shards, &shard_sizes, merges, barrier_wait_nanos);
+        sink.on(&Event::ParallelRound {
+            round,
+            workers: shards,
+            shard_sizes: &shard_sizes,
+            merges,
+            barrier_wait_nanos,
+        });
         Ok(merged)
     }
 
@@ -1038,8 +1074,15 @@ impl<'p> MonotonicEngine<'p> {
                     last_delta: candidates.len(),
                 });
             }
-            sink.round_start(pops, false);
-            sink.greedy_settle(pred, &key, cost.get());
+            sink.on(&Event::RoundStart {
+                round: pops,
+                full: false,
+            });
+            sink.on(&Event::GreedySettle {
+                pred,
+                key: &key,
+                cost: cost.get(),
+            });
             frontier = cost;
             db.relation_mut(pred)
                 .insert_arc(key.clone(), Some(Value::Num(cost)));
@@ -1121,8 +1164,12 @@ impl<'p> MonotonicEngine<'p> {
             }
             // Each pop is a (single-tuple) round: the settled atom is the
             // round's delta, `pushed` counts new frontier candidates.
-            sink.delta(pred, 1);
-            sink.round_end(pops, derived_count, pushed);
+            sink.on(&Event::Delta { pred, size: 1 });
+            sink.on(&Event::RoundEnd {
+                round: pops,
+                derivations: derived_count,
+                changed: pushed,
+            });
         }
         let pruned = stats.pruned - pruned_before;
         finish_component(ci, pops, execs, rule_pushes, agg_counters, pruned, sink);
@@ -1193,7 +1240,7 @@ impl<'p> MonotonicEngine<'p> {
                 return Ok(());
             }
             stats.firings += 1;
-            sink.rule_fire_start(exec.ri);
+            sink.on(&Event::FireStart { rule: exec.ri });
             if C::ENABLED {
                 cap.begin_rule(exec.ri);
                 // The relaxed derivation's aggregate witness is the delta
@@ -1225,7 +1272,7 @@ impl<'p> MonotonicEngine<'p> {
             if C::ENABLED {
                 cap.pop_agg();
             }
-            sink.rule_fire_end(exec.ri);
+            sink.on(&Event::FireEnd { rule: exec.ri });
             return r;
         }
 
@@ -1255,7 +1302,7 @@ impl<'p> MonotonicEngine<'p> {
             return Ok(());
         }
         stats.firings += 1;
-        sink.rule_fire_start(exec.ri);
+        sink.on(&Event::FireStart { rule: exec.ri });
         if C::ENABLED {
             cap.begin_rule(exec.ri);
             // A positive-atom driver's seeded plan skips re-matching the
@@ -1271,7 +1318,7 @@ impl<'p> MonotonicEngine<'p> {
         if C::ENABLED && driver.conjunct.is_none() {
             cap.pop_atom();
         }
-        sink.rule_fire_end(exec.ri);
+        sink.on(&Event::FireEnd { rule: exec.ri });
         r
     }
 }
@@ -1293,7 +1340,7 @@ fn claim_seed(
 }
 
 /// Close a component: per-rule derivation totals, aggregate totals, the
-/// pruned count (only when non-zero), then `component_end`. Shared by the
+/// pruned count (only when non-zero), then `ComponentEnd`. Shared by the
 /// round loop and greedy settling.
 fn finish_component<S: EventSink>(
     ci: usize,
@@ -1305,17 +1352,26 @@ fn finish_component<S: EventSink>(
     sink: &mut S,
 ) {
     for (exec, &n) in execs.iter().zip(rule_pushes) {
-        sink.rule_derivations(exec.ri, n);
+        sink.on(&Event::RuleDerivations {
+            rule: exec.ri,
+            derivations: n,
+        });
     }
-    sink.aggregate_totals(
-        agg_counters.groups.get(),
-        agg_counters.elements.get(),
-        agg_counters.peak_bytes.get(),
-    );
+    sink.on(&Event::AggregateTotals {
+        groups: agg_counters.groups.get(),
+        elements: agg_counters.elements.get(),
+        peak_bytes: agg_counters.peak_bytes.get(),
+    });
     if pruned > 0 {
-        sink.pruned(ci, pruned);
+        sink.on(&Event::Pruned {
+            component: ci,
+            count: pruned,
+        });
     }
-    sink.component_end(ci, rounds);
+    sink.on(&Event::ComponentEnd {
+        component: ci,
+        rounds,
+    });
 }
 
 /// One shard's contribution to a round barrier: its round buffer plus the
@@ -3368,18 +3424,18 @@ mod tests {
             firings_via_shards: usize,
         }
         impl EventSink for ParSpy {
-            fn parallel_round(
-                &mut self,
-                _round: usize,
-                workers: usize,
-                shard_sizes: &[usize],
-                _merges: u64,
-                _wait: u64,
-            ) {
-                self.rounds += 1;
-                self.workers.push(workers);
-                assert_eq!(shard_sizes.len(), workers);
-                self.firings_via_shards += shard_sizes.iter().sum::<usize>();
+            fn on(&mut self, event: &Event<'_>) {
+                if let Event::ParallelRound {
+                    workers,
+                    shard_sizes,
+                    ..
+                } = *event
+                {
+                    self.rounds += 1;
+                    self.workers.push(workers);
+                    assert_eq!(shard_sizes.len(), workers);
+                    self.firings_via_shards += shard_sizes.iter().sum::<usize>();
+                }
             }
         }
         let p = parse_program(SHORTEST_PATH_SRC).unwrap();
@@ -3397,7 +3453,7 @@ mod tests {
         )
         .evaluate_with_sink(&Edb::new(), &mut spy)
         .unwrap();
-        assert!(spy.rounds > 0, "no parallel_round events fired");
+        assert!(spy.rounds > 0, "no ParallelRound events fired");
         assert!(spy.workers.iter().all(|&w| w == 3));
         assert_eq!(spy.firings_via_shards as u64, m.stats().firings);
     }

@@ -69,7 +69,9 @@ pub use edb::Edb;
 pub use error::EvalError;
 pub use eval::{why_not, EvalOptions, EvalStats, MonotonicEngine, Strategy};
 pub use plan::{prem_rewrites, Optimize, Rewrites};
-pub use events::{Clock, EventSink, Fanout, InsertOutcome, ManualClock, NoopSink, SystemClock};
+pub use events::{
+    Clock, Event, EventSink, Fanout, InsertOutcome, ManualClock, NoopSink, SystemClock,
+};
 pub use interp::{IndexStats, Interp, Relation, RelationMemory, Tuple};
 pub use metrics::{
     parse_openmetrics, Histogram, HistogramBlock, HistogramSink, Meter, MetricSet, Registry,
@@ -80,7 +82,6 @@ pub use par::{available_workers, resolve_workers};
 pub use serve::MetricsServer;
 pub use profile::{
     fmt_bytes, fmt_nanos, render_profile_json, MetricsSink, ParallelProfile, ProfileReport,
-    TraceSink,
 };
 pub use trace::{
     render_collapsed_stacks, validate_chrome_trace, SpanSink, TraceCheck, Tracer, TRACE_SCHEMA,

@@ -8,7 +8,7 @@
 //!
 //! The histogram mirrors the `Accumulator::merge` discipline from the
 //! sharded evaluator: workers record into *worker-local* histograms and
-//! the round barrier merges them ([`EventSink::worker_sample`]), so
+//! the round barrier merges them ([`Event::WorkerSample`]), so
 //! `--parallel` runs never contend on a shared collector. Merging is
 //! lossless — bucket counts add, min/max/count/sum combine — so the
 //! merged distribution is exactly what one sequential recorder would
@@ -23,7 +23,7 @@
 //! **nanoseconds** and are scaled to seconds at exposition; every other
 //! unit is exposed raw.
 
-use crate::events::{Clock, EventSink, SystemClock};
+use crate::events::{Clock, Event, EventSink, SystemClock};
 use crate::jsonish::fmt_f64;
 use maglog_datalog::Program;
 use std::collections::BTreeMap;
@@ -618,7 +618,7 @@ impl std::fmt::Debug for Meter {
 }
 
 /// One worker's round-local measurements, merged into the orchestrator's
-/// sink at the round barrier ([`EventSink::worker_sample`]).
+/// sink at the round barrier ([`Event::WorkerSample`]).
 #[derive(Clone, Debug, Default)]
 pub struct WorkerSample {
     pub worker: usize,
@@ -668,9 +668,9 @@ const MERGES_HELP: &str = "Same-key derivations merged across shards at round ba
 /// into a shared [`Registry`] for the live `/metrics` endpoint.
 ///
 /// Sequential firings are timed by bracketing
-/// `rule_fire_start`/`rule_fire_end` with the sink's [`Meter`]; parallel
-/// shards time themselves worker-locally and arrive merged through
-/// [`EventSink::worker_sample`] — the hot loops never touch a shared
+/// [`Event::FireStart`]/[`Event::FireEnd`] with the sink's [`Meter`];
+/// parallel shards time themselves worker-locally and arrive merged through
+/// [`Event::WorkerSample`] — the hot loops never touch a shared
 /// lock.
 pub struct HistogramSink<'p> {
     program: &'p Program,
@@ -851,68 +851,57 @@ impl<'p> HistogramSink<'p> {
 }
 
 impl EventSink for HistogramSink<'_> {
-    fn round_start(&mut self, _round: usize, _full: bool) {
-        self.round_started = self.meter.now_nanos();
-    }
-
-    fn rule_fire_start(&mut self, _rule: usize) {
-        self.firings += 1;
-        self.fire_started = self.meter.now_nanos();
-    }
-
-    fn rule_fire_end(&mut self, rule: usize) {
-        let elapsed = self.meter.now_nanos().saturating_sub(self.fire_started);
-        self.rule_fire.entry(rule).or_default().record(elapsed);
-    }
-
-    fn rule_firings(&mut self, _rule: usize, count: u64) {
-        // Bulk barrier replay: counts only — the real per-firing timings
-        // arrive worker-local through `worker_sample`.
-        self.firings += count;
-    }
-
-    fn round_end(&mut self, _round: usize, derivations: usize, _changed: usize) {
-        let elapsed = self.meter.now_nanos().saturating_sub(self.round_started);
-        self.round_duration.record(elapsed);
-        self.round_buffer.record(derivations as u64);
-        self.heap_live.record(crate::alloc::current_bytes() as u64);
-        self.rounds += 1;
-        self.derivations += derivations as u64;
-        self.publish_snapshot();
-    }
-
-    fn parallel_round(
-        &mut self,
-        _round: usize,
-        _workers: usize,
-        _shard_sizes: &[usize],
-        merges: u64,
-        barrier_wait_nanos: u64,
-    ) {
-        self.merges += merges;
-        self.barrier_wait.record(barrier_wait_nanos);
-    }
-
-    fn component_end(&mut self, _component: usize, _rounds: usize) {
-        self.publish_snapshot();
+    fn on(&mut self, event: &Event<'_>) {
+        match *event {
+            Event::RoundStart { .. } => self.round_started = self.meter.now_nanos(),
+            Event::FireStart { .. } => {
+                self.firings += 1;
+                self.fire_started = self.meter.now_nanos();
+            }
+            Event::FireEnd { rule } => {
+                let elapsed = self.meter.now_nanos().saturating_sub(self.fire_started);
+                self.rule_fire.entry(rule).or_default().record(elapsed);
+            }
+            // Bulk barrier replay: counts only — the real per-firing
+            // timings arrive worker-local through `WorkerSample`.
+            Event::Firings { count, .. } => self.firings += count,
+            Event::RoundEnd { derivations, .. } => {
+                let elapsed = self.meter.now_nanos().saturating_sub(self.round_started);
+                self.round_duration.record(elapsed);
+                self.round_buffer.record(derivations as u64);
+                self.heap_live.record(crate::alloc::current_bytes() as u64);
+                self.rounds += 1;
+                self.derivations += derivations as u64;
+                self.publish_snapshot();
+            }
+            Event::ParallelRound {
+                merges,
+                barrier_wait_nanos,
+                ..
+            } => {
+                self.merges += merges;
+                self.barrier_wait.record(barrier_wait_nanos);
+            }
+            Event::ComponentEnd { .. } => self.publish_snapshot(),
+            Event::WorkerSample(sample) => {
+                self.worker_fire
+                    .entry(sample.worker)
+                    .or_default()
+                    .record(sample.fire_nanos);
+                self.worker_wait
+                    .entry(sample.worker)
+                    .or_default()
+                    .record(sample.wait_nanos);
+                for (ri, h) in &sample.rule_nanos {
+                    self.rule_fire.entry(*ri).or_default().merge(h);
+                }
+            }
+            _ => {}
+        }
     }
 
     fn worker_meter(&self) -> Option<Meter> {
         Some(self.meter.clone())
-    }
-
-    fn worker_sample(&mut self, sample: &WorkerSample) {
-        self.worker_fire
-            .entry(sample.worker)
-            .or_default()
-            .record(sample.fire_nanos);
-        self.worker_wait
-            .entry(sample.worker)
-            .or_default()
-            .record(sample.wait_nanos);
-        for (ri, h) in &sample.rule_nanos {
-            self.rule_fire.entry(*ri).or_default().merge(h);
-        }
     }
 }
 

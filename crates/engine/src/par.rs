@@ -12,6 +12,7 @@
 //! several shards combines by the same rule a single buffer applies to a
 //! repeated push, so the merged buffer is the one-shard buffer.
 
+use crate::events::{Event, EventSink};
 use crate::value::Value;
 use maglog_datalog::Var;
 use std::collections::HashMap;
@@ -89,18 +90,22 @@ impl FireTally {
     }
 }
 
-impl crate::events::EventSink for FireTally {
-    fn rule_fire_start(&mut self, rule: usize) {
-        *self.counts.entry(rule).or_insert(0) += 1;
-        if let Some(m) = &self.meter {
-            self.started = m.now_nanos();
-        }
-    }
-
-    fn rule_fire_end(&mut self, rule: usize) {
-        if let Some(m) = &self.meter {
-            let elapsed = m.now_nanos().saturating_sub(self.started);
-            self.rule_nanos.entry(rule).or_default().record(elapsed);
+impl EventSink for FireTally {
+    fn on(&mut self, event: &Event<'_>) {
+        match *event {
+            Event::FireStart { rule } => {
+                *self.counts.entry(rule).or_insert(0) += 1;
+                if let Some(m) = &self.meter {
+                    self.started = m.now_nanos();
+                }
+            }
+            Event::FireEnd { rule } => {
+                if let Some(m) = &self.meter {
+                    let elapsed = m.now_nanos().saturating_sub(self.started);
+                    self.rule_nanos.entry(rule).or_default().record(elapsed);
+                }
+            }
+            _ => {}
         }
     }
 }
@@ -141,12 +146,11 @@ mod tests {
 
     #[test]
     fn fire_tally_counts_per_rule() {
-        use crate::events::EventSink;
         let mut t = FireTally::default();
-        t.rule_fire_start(3);
-        t.rule_fire_start(3);
-        t.rule_fire_start(5);
-        t.rule_fire_end(3); // ends are not counted
+        t.on(&Event::FireStart { rule: 3 });
+        t.on(&Event::FireStart { rule: 3 });
+        t.on(&Event::FireStart { rule: 5 });
+        t.on(&Event::FireEnd { rule: 3 }); // ends are not counted
         assert_eq!(t.counts.get(&3), Some(&2));
         assert_eq!(t.counts.get(&5), Some(&1));
         assert_eq!(t.counts.get(&0), None);
@@ -156,15 +160,15 @@ mod tests {
 
     #[test]
     fn metered_fire_tally_times_each_firing() {
-        use crate::events::{EventSink, ManualClock};
+        use crate::events::ManualClock;
         use crate::metrics::Meter;
         use std::sync::Arc;
         let meter = Meter::with_clock(Arc::new(ManualClock::with_step(10)));
         let mut t = FireTally::with_meter(Some(meter));
-        t.rule_fire_start(3); // clock: 0
-        t.rule_fire_end(3); // clock: 10 → elapsed 10
-        t.rule_fire_start(5); // clock: 20
-        t.rule_fire_end(5); // clock: 30 → elapsed 10
+        t.on(&Event::FireStart { rule: 3 }); // clock: 0
+        t.on(&Event::FireEnd { rule: 3 }); // clock: 10 → elapsed 10
+        t.on(&Event::FireStart { rule: 5 }); // clock: 20
+        t.on(&Event::FireEnd { rule: 5 }); // clock: 30 → elapsed 10
         assert_eq!(t.counts.get(&3), Some(&1));
         let nanos = t.take_rule_nanos();
         assert_eq!(nanos.len(), 2);

@@ -1,8 +1,8 @@
-//! Profiling sinks built on [`EventSink`]: a human round-by-round
-//! [`TraceSink`] and a [`MetricsSink`] that aggregates every event into a
-//! [`ProfileReport`], serializable as `maglog-profile-v1` JSON
-//! ([`render_profile_json`]) or a compact human summary
-//! ([`ProfileReport::render_human`]).
+//! Profiling built on [`EventSink`]: a [`MetricsSink`] aggregates every
+//! event into a [`ProfileReport`], which renders as `maglog-profile-v1`
+//! JSON ([`render_profile_json`]), a compact human summary
+//! ([`ProfileReport::render_human`]), or a round-by-round fixpoint trace
+//! ([`ProfileReport::render_trace`]).
 //!
 //! Counter semantics (see also `DESIGN.md` §4d):
 //!
@@ -25,11 +25,11 @@
 //! runs of the same program produce identical JSON up to `nanos`.
 
 use crate::eval::Strategy;
-use crate::events::{Clock, EventSink, InsertOutcome, SystemClock};
-use crate::interp::{IndexStats, RelationMemory, Tuple};
+use crate::events::{Clock, Event, EventSink, InsertOutcome, SystemClock};
+use crate::interp::{IndexStats, RelationMemory};
 use crate::jsonish::json_str;
 use crate::plan::plan_rule;
-use maglog_datalog::{Pred, Program};
+use maglog_datalog::Program;
 use std::collections::BTreeSet;
 
 /// Per-round detail rows kept per component in the report; further rounds
@@ -37,7 +37,8 @@ use std::collections::BTreeSet;
 /// per queue pop) bounded.
 const MAX_ROUND_DETAIL: usize = 64;
 
-/// Round-by-round trace lines kept per component by [`TraceSink`].
+/// Round lines per component in [`ProfileReport::render_trace`]; further
+/// rounds are summarized as elided.
 const MAX_TRACE_ROUNDS: usize = 50;
 
 /// One round's counters in a component profile.
@@ -56,6 +57,9 @@ pub struct RoundProfile {
     pub changed: usize,
     /// Per-predicate delta sizes, sorted by predicate name.
     pub deltas: Vec<(String, usize)>,
+    /// The greedy pop's settled atom, rendered as `settle p(k) @ cost`
+    /// (greedy components only; trace text, not part of the JSON).
+    pub settle: Option<String>,
 }
 
 /// One component's profile.
@@ -73,6 +77,20 @@ pub struct ComponentProfile {
     pub rounds_detail: Vec<RoundProfile>,
     /// Rounds beyond the detail cap (counted, not detailed).
     pub rounds_elided: usize,
+    /// Derivations this component's optimization filters discarded (trace
+    /// text; the JSON reports the run total).
+    pub pruned: u64,
+}
+
+impl ComponentProfile {
+    /// ` {p, q}` for the recursive predicates, or empty.
+    fn preds_suffix(&self) -> String {
+        if self.preds.is_empty() {
+            String::new()
+        } else {
+            format!(" {{{}}}", self.preds.join(", "))
+        }
+    }
 }
 
 /// One rule's counters, with its rendered text and plan summary.
@@ -372,6 +390,59 @@ impl ProfileReport {
         s
     }
 
+    /// The human round-by-round fixpoint trace: optimization decisions,
+    /// then per component its header, up to 50 round lines (greedy pops
+    /// name the settled atom), the pruned count, and the round total.
+    pub fn render_trace(&self) -> String {
+        let mut s = String::new();
+        for decision in &self.optimizations {
+            s.push_str(&format!("optimize: {decision}\n"));
+        }
+        for c in &self.components {
+            s.push_str(&format!(
+                "component {} [{}]{}\n",
+                c.component,
+                c.strategy,
+                c.preds_suffix()
+            ));
+            for r in c.rounds_detail.iter().take(MAX_TRACE_ROUNDS) {
+                let deltas = if r.deltas.is_empty() {
+                    String::new()
+                } else {
+                    let parts: Vec<String> =
+                        r.deltas.iter().map(|(p, n)| format!("{p} +{n}")).collect();
+                    format!(" | Δ {}", parts.join(", "))
+                };
+                let (round, derivations, changed) = (r.round, r.derivations, r.changed);
+                match &r.settle {
+                    Some(settle) => s.push_str(&format!(
+                        "  pop {round}: {settle}: {derivations} derivation(s), \
+                         {changed} queued{deltas}\n"
+                    )),
+                    None => s.push_str(&format!(
+                        "  round {round}{}: {} firing(s), {derivations} derivation(s), \
+                         {changed} changed{deltas}\n",
+                        if r.full { " (full)" } else { "" },
+                        r.firings
+                    )),
+                }
+            }
+            if c.pruned > 0 {
+                s.push_str(&format!(
+                    "component {}: {} derivation(s) pruned by optimization\n",
+                    c.component, c.pruned
+                ));
+            }
+            // Every round is either detailed or counted in `rounds_elided`.
+            let elided = (c.rounds_detail.len() + c.rounds_elided).saturating_sub(MAX_TRACE_ROUNDS);
+            if elided > 0 {
+                s.push_str(&format!("  ... {elided} more round(s) elided\n"));
+            }
+            s.push_str(&format!("  fixpoint after {} round(s)\n", c.rounds));
+        }
+        s
+    }
+
     /// A compact human summary (totals, components, per-rule counters,
     /// index telemetry).
     pub fn render_human(&self) -> String {
@@ -392,14 +463,12 @@ impl ProfileReport {
         ));
         s.push_str("components:\n");
         for c in &self.components {
-            let preds = if c.preds.is_empty() {
-                String::new()
-            } else {
-                format!(" {{{}}}", c.preds.join(", "))
-            };
             s.push_str(&format!(
                 "  #{} [{}]{}: {} round(s)\n",
-                c.component, c.strategy, preds, c.rounds
+                c.component,
+                c.strategy,
+                c.preds_suffix(),
+                c.rounds
             ));
         }
         s.push_str("rules:\n");
@@ -628,6 +697,14 @@ impl<'p> MetricsSink<'p> {
         &mut self.rules.last_mut().unwrap().1
     }
 
+    /// Credit `count` firings of `rule` to the rule and the current round.
+    fn count_firings(&mut self, rule: usize, count: u64) {
+        self.rule_entry(rule).firings += count;
+        if let Some(r) = &mut self.cur_round {
+            r.firings += count;
+        }
+    }
+
     /// Consume the sink into its report, resolving rule texts and plan
     /// summaries against the program.
     pub fn finish(mut self) -> ProfileReport {
@@ -667,278 +744,157 @@ impl<'p> MetricsSink<'p> {
 }
 
 impl EventSink for MetricsSink<'_> {
-    fn component_start(&mut self, component: usize, strategy: Strategy, cdb: &[Pred]) {
-        let mut preds: Vec<String> =
-            cdb.iter().map(|p| self.program.pred_name(*p)).collect();
-        preds.sort();
-        self.components.push(ComponentProfile {
-            component,
-            strategy: strategy.name(),
-            preds,
-            ..Default::default()
-        });
-    }
-
-    fn round_start(&mut self, round: usize, full: bool) {
-        self.cur_round = Some(RoundProfile {
-            round,
-            full,
-            ..Default::default()
-        });
-    }
-
-    fn rule_fire_start(&mut self, rule: usize) {
-        self.fire_started = self.clock.now_nanos();
-        self.rule_entry(rule).firings += 1;
-        if let Some(r) = &mut self.cur_round {
-            r.firings += 1;
-        }
-    }
-
-    fn rule_fire_end(&mut self, rule: usize) {
-        let elapsed = self.clock.now_nanos().saturating_sub(self.fire_started);
-        self.rule_entry(rule).nanos += elapsed;
-    }
-
-    fn insert_outcome(&mut self, rule: usize, _pred: Pred, outcome: InsertOutcome) {
-        let entry = self.rule_entry(rule);
-        let slot = match outcome {
-            InsertOutcome::New => &mut entry.inserted,
-            InsertOutcome::Improved => &mut entry.improved,
-            InsertOutcome::Noop => &mut entry.noop,
-        };
-        *slot += 1;
-        if let Some(r) = &mut self.cur_round {
-            match outcome {
-                InsertOutcome::New => r.inserted += 1,
-                InsertOutcome::Improved => r.improved += 1,
-                InsertOutcome::Noop => r.noop += 1,
+    fn on(&mut self, event: &Event<'_>) {
+        match *event {
+            Event::ComponentStart {
+                component,
+                strategy,
+                cdb,
+            } => {
+                let mut preds: Vec<String> =
+                    cdb.iter().map(|p| self.program.pred_name(*p)).collect();
+                preds.sort();
+                self.components.push(ComponentProfile {
+                    component,
+                    strategy: strategy.name(),
+                    preds,
+                    ..Default::default()
+                });
             }
-        }
-    }
-
-    fn delta(&mut self, pred: Pred, size: usize) {
-        if let Some(r) = &mut self.cur_round {
-            r.deltas.push((self.program.pred_name(pred), size));
-        }
-    }
-
-    fn round_end(&mut self, _round: usize, derivations: usize, changed: usize) {
-        let Some(mut r) = self.cur_round.take() else {
-            return;
-        };
-        r.derivations = derivations;
-        r.changed = changed;
-        r.deltas.sort();
-        if let Some(c) = self.components.last_mut() {
-            if c.rounds_detail.len() < MAX_ROUND_DETAIL {
-                c.rounds_detail.push(r);
-            } else {
-                c.rounds_elided += 1;
+            Event::RoundStart { round, full } => {
+                self.cur_round = Some(RoundProfile {
+                    round,
+                    full,
+                    ..Default::default()
+                });
             }
-        }
-    }
-
-    fn rule_derivations(&mut self, rule: usize, derivations: u64) {
-        self.rule_entry(rule).derivations += derivations;
-    }
-
-    fn parallel_round(
-        &mut self,
-        _round: usize,
-        workers: usize,
-        shard_sizes: &[usize],
-        merges: u64,
-        barrier_wait_nanos: u64,
-    ) {
-        let par = self.parallel.get_or_insert_with(|| ParallelProfile {
-            workers,
-            shard_firings: vec![0; workers],
-            ..Default::default()
-        });
-        par.rounds += 1;
-        par.merges += merges;
-        par.barrier_wait_nanos += barrier_wait_nanos;
-        for (w, &n) in shard_sizes.iter().enumerate() {
-            if let Some(slot) = par.shard_firings.get_mut(w) {
-                *slot += n as u64;
+            Event::FireStart { rule } => {
+                self.fire_started = self.clock.now_nanos();
+                self.count_firings(rule, 1);
             }
+            Event::FireEnd { rule } => {
+                let elapsed = self.clock.now_nanos().saturating_sub(self.fire_started);
+                self.rule_entry(rule).nanos += elapsed;
+            }
+            Event::Firings { rule, count } => self.count_firings(rule, count),
+            Event::Insert { rule, outcome, .. } => {
+                let entry = self.rule_entry(rule);
+                let slot = match outcome {
+                    InsertOutcome::New => &mut entry.inserted,
+                    InsertOutcome::Improved => &mut entry.improved,
+                    InsertOutcome::Noop => &mut entry.noop,
+                };
+                *slot += 1;
+                if let Some(r) = &mut self.cur_round {
+                    match outcome {
+                        InsertOutcome::New => r.inserted += 1,
+                        InsertOutcome::Improved => r.improved += 1,
+                        InsertOutcome::Noop => r.noop += 1,
+                    }
+                }
+            }
+            Event::Delta { pred, size } => {
+                if let Some(r) = &mut self.cur_round {
+                    r.deltas.push((self.program.pred_name(pred), size));
+                }
+            }
+            Event::GreedySettle { pred, key, cost } => {
+                // Rendered only for rounds the detail keeps, so long greedy
+                // runs pay for at most `MAX_ROUND_DETAIL` strings.
+                let kept = self
+                    .components
+                    .last()
+                    .is_some_and(|c| c.rounds_detail.len() < MAX_ROUND_DETAIL);
+                if let (Some(r), true) = (&mut self.cur_round, kept) {
+                    let args: Vec<String> = key.0.iter().map(|v| v.display(self.program)).collect();
+                    r.settle = Some(format!(
+                        "settle {}({}) @ {}",
+                        self.program.pred_name(pred),
+                        args.join(", "),
+                        cost
+                    ));
+                }
+            }
+            Event::RoundEnd {
+                derivations,
+                changed,
+                ..
+            } => {
+                let Some(mut r) = self.cur_round.take() else {
+                    return;
+                };
+                r.derivations = derivations;
+                r.changed = changed;
+                r.deltas.sort();
+                if let Some(c) = self.components.last_mut() {
+                    if c.rounds_detail.len() < MAX_ROUND_DETAIL {
+                        c.rounds_detail.push(r);
+                    } else {
+                        c.rounds_elided += 1;
+                    }
+                }
+            }
+            Event::ParallelRound {
+                workers,
+                shard_sizes,
+                merges,
+                barrier_wait_nanos,
+                ..
+            } => {
+                let par = self.parallel.get_or_insert_with(|| ParallelProfile {
+                    workers,
+                    shard_firings: vec![0; workers],
+                    ..Default::default()
+                });
+                par.rounds += 1;
+                par.merges += merges;
+                par.barrier_wait_nanos += barrier_wait_nanos;
+                for (w, &n) in shard_sizes.iter().enumerate() {
+                    if let Some(slot) = par.shard_firings.get_mut(w) {
+                        *slot += n as u64;
+                    }
+                }
+            }
+            Event::RuleDerivations { rule, derivations } => {
+                self.rule_entry(rule).derivations += derivations;
+            }
+            Event::AggregateTotals {
+                groups,
+                elements,
+                peak_bytes,
+            } => {
+                self.agg_groups += groups;
+                self.agg_elements += elements;
+                self.agg_peak_bytes = self.agg_peak_bytes.max(peak_bytes);
+            }
+            Event::Optimization { decision } => self.optimizations.push(decision.to_string()),
+            Event::Pruned { count, .. } => {
+                self.pruned += count;
+                if let Some(c) = self.components.last_mut() {
+                    c.pruned += count;
+                }
+            }
+            Event::ComponentEnd { rounds, .. } => {
+                if let Some(c) = self.components.last_mut() {
+                    c.rounds = rounds;
+                }
+                self.cur_round = None;
+            }
+            Event::IndexStats { pred, sigs, stats } => self.indexes.push(IndexProfile {
+                pred: self.program.pred_name(pred),
+                sigs,
+                stats,
+            }),
+            Event::RelationMemory { pred, memory } => self.memory.push(MemoryProfile {
+                pred: self.program.pred_name(pred),
+                memory,
+            }),
+            Event::WorkerSample(_) => {}
         }
-    }
-
-    fn aggregate_totals(&mut self, groups: u64, elements: u64, peak_bytes: u64) {
-        self.agg_groups += groups;
-        self.agg_elements += elements;
-        self.agg_peak_bytes = self.agg_peak_bytes.max(peak_bytes);
-    }
-
-    fn optimization(&mut self, decision: &str) {
-        self.optimizations.push(decision.to_string());
-    }
-
-    fn pruned(&mut self, _component: usize, count: u64) {
-        self.pruned += count;
-    }
-
-    fn component_end(&mut self, _component: usize, rounds: usize) {
-        if let Some(c) = self.components.last_mut() {
-            c.rounds = rounds;
-        }
-        self.cur_round = None;
-    }
-
-    fn index_stats(&mut self, pred: Pred, sigs: usize, stats: IndexStats) {
-        self.indexes.push(IndexProfile {
-            pred: self.program.pred_name(pred),
-            sigs,
-            stats,
-        });
-    }
-
-    fn relation_memory(&mut self, pred: Pred, memory: RelationMemory) {
-        self.memory.push(MemoryProfile {
-            pred: self.program.pred_name(pred),
-            memory,
-        });
     }
 
     fn wants_relation_memory(&self) -> bool {
         true
-    }
-}
-
-/// [`EventSink`] that renders a human-readable round-by-round fixpoint
-/// trace into an internal buffer ([`TraceSink::into_string`]).
-pub struct TraceSink<'p> {
-    program: &'p Program,
-    out: String,
-    /// Round lines already written for the current component.
-    round_lines: usize,
-    /// Rounds elided beyond [`MAX_TRACE_ROUNDS`] for the current component.
-    elided: usize,
-    cur_full: bool,
-    cur_firings: u64,
-    /// The greedy settle of the current round, pre-rendered.
-    cur_settle: Option<String>,
-    cur_deltas: Vec<(String, usize)>,
-}
-
-impl<'p> TraceSink<'p> {
-    pub fn new(program: &'p Program) -> Self {
-        TraceSink {
-            program,
-            out: String::new(),
-            round_lines: 0,
-            elided: 0,
-            cur_full: false,
-            cur_firings: 0,
-            cur_settle: None,
-            cur_deltas: Vec::new(),
-        }
-    }
-
-    pub fn into_string(self) -> String {
-        self.out
-    }
-}
-
-impl EventSink for TraceSink<'_> {
-    fn optimization(&mut self, decision: &str) {
-        self.out.push_str(&format!("optimize: {decision}\n"));
-    }
-
-    fn pruned(&mut self, component: usize, count: u64) {
-        self.out.push_str(&format!(
-            "component {component}: {count} derivation(s) pruned by optimization\n"
-        ));
-    }
-
-    fn component_start(&mut self, component: usize, strategy: Strategy, cdb: &[Pred]) {
-        self.round_lines = 0;
-        self.elided = 0;
-        let mut preds: Vec<String> =
-            cdb.iter().map(|p| self.program.pred_name(*p)).collect();
-        preds.sort();
-        let suffix = if preds.is_empty() {
-            String::new()
-        } else {
-            format!(" {{{}}}", preds.join(", "))
-        };
-        self.out.push_str(&format!(
-            "component {} [{}]{}\n",
-            component,
-            strategy.name(),
-            suffix
-        ));
-    }
-
-    fn round_start(&mut self, _round: usize, full: bool) {
-        self.cur_full = full;
-        self.cur_firings = 0;
-        self.cur_settle = None;
-        self.cur_deltas.clear();
-    }
-
-    fn rule_fire_start(&mut self, _rule: usize) {
-        self.cur_firings += 1;
-    }
-
-    fn greedy_settle(&mut self, pred: Pred, key: &Tuple, cost: f64) {
-        let args: Vec<String> = key.0.iter().map(|v| v.display(self.program)).collect();
-        self.cur_settle = Some(format!(
-            "settle {}({}) @ {}",
-            self.program.pred_name(pred),
-            args.join(", "),
-            cost
-        ));
-    }
-
-    fn delta(&mut self, pred: Pred, size: usize) {
-        self.cur_deltas.push((self.program.pred_name(pred), size));
-    }
-
-    fn round_end(&mut self, round: usize, derivations: usize, changed: usize) {
-        if self.round_lines >= MAX_TRACE_ROUNDS {
-            self.elided += 1;
-            return;
-        }
-        self.round_lines += 1;
-        self.cur_deltas.sort();
-        let deltas = if self.cur_deltas.is_empty() {
-            String::new()
-        } else {
-            let parts: Vec<String> = self
-                .cur_deltas
-                .iter()
-                .map(|(p, n)| format!("{p} +{n}"))
-                .collect();
-            format!(" | Δ {}", parts.join(", "))
-        };
-        match &self.cur_settle {
-            Some(settle) => {
-                self.out.push_str(&format!(
-                    "  pop {round}: {settle}: {derivations} derivation(s), \
-                     {changed} queued{deltas}\n"
-                ));
-            }
-            None => {
-                let full = if self.cur_full { " (full)" } else { "" };
-                self.out.push_str(&format!(
-                    "  round {round}{full}: {} firing(s), {derivations} derivation(s), \
-                     {changed} changed{deltas}\n",
-                    self.cur_firings
-                ));
-            }
-        }
-    }
-
-    fn component_end(&mut self, _component: usize, rounds: usize) {
-        if self.elided > 0 {
-            self.out
-                .push_str(&format!("  ... {} more round(s) elided\n", self.elided));
-        }
-        self.out
-            .push_str(&format!("  fixpoint after {rounds} round(s)\n"));
     }
 }
 
@@ -1000,13 +956,13 @@ mod tests {
     }
 
     #[test]
-    fn trace_sink_renders_rounds_and_fixpoint() {
+    fn trace_renders_rounds_and_fixpoint() {
         let p = parse_program(TC).unwrap();
-        let mut sink = TraceSink::new(&p);
+        let mut sink = MetricsSink::new(&p, Strategy::SemiNaive);
         MonotonicEngine::new(&p)
             .evaluate_with_sink(&Edb::new(), &mut sink)
             .unwrap();
-        let trace = sink.into_string();
+        let trace = sink.finish().render_trace();
         assert!(trace.contains("component 0"));
         assert!(trace.contains("round 1 (full)"));
         assert!(trace.contains("fixpoint after"));
@@ -1028,7 +984,7 @@ mod tests {
             "#,
         )
         .unwrap();
-        let mut sink = TraceSink::new(&p);
+        let mut sink = MetricsSink::new(&p, Strategy::Greedy);
         MonotonicEngine::with_options(
             &p,
             EvalOptions {
@@ -1038,7 +994,7 @@ mod tests {
         )
         .evaluate_with_sink(&Edb::new(), &mut sink)
         .unwrap();
-        let trace = sink.into_string();
+        let trace = sink.finish().render_trace();
         assert!(trace.contains("[greedy]"), "{trace}");
         assert!(trace.contains("settle"), "{trace}");
     }

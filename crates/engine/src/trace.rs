@@ -27,10 +27,9 @@
 //! layer extends to every hook point added here.
 
 use crate::alloc;
-use crate::eval::Strategy;
-use crate::events::{Clock, EventSink, SystemClock};
+use crate::events::{Clock, Event, EventSink, SystemClock};
 use crate::jsonish::{self, json_escape, JsonValue};
-use maglog_datalog::{Pred, Program};
+use maglog_datalog::Program;
 use std::collections::{BTreeMap, HashMap};
 use std::sync::{Arc, Mutex};
 
@@ -420,7 +419,7 @@ impl Tracer {
 /// An [`EventSink`] that records evaluator events as spans in a
 /// [`Tracer`]. Component and rule names are resolved against the
 /// program once and interned; per-round heap and delta counters are
-/// sampled at `round_end`.
+/// sampled at [`Event::RoundEnd`].
 pub struct SpanSink<'p> {
     program: &'p Program,
     tracer: Tracer,
@@ -464,63 +463,69 @@ impl<'p> SpanSink<'p> {
 }
 
 impl EventSink for SpanSink<'_> {
-    fn component_start(&mut self, component: usize, strategy: Strategy, cdb: &[Pred]) {
-        let preds: Vec<String> = cdb.iter().map(|p| self.program.pred_name(*p)).collect();
-        let label = format!(
-            "component {component} [{}] {}",
-            strategy.name(),
-            preds.join(",")
-        );
-        let name = self.tracer.intern(&label);
-        self.open_components.push(name);
-        self.tracer.begin(MAIN_LANE, "component", name);
-    }
-
-    fn round_start(&mut self, round: usize, full: bool) {
-        self.tracer.begin_args(
-            MAIN_LANE,
-            "round",
-            NameRef::Static("round"),
-            vec![("round", round as u64), ("full", full as u64)],
-        );
-    }
-
-    fn rule_fire_start(&mut self, rule: usize) {
-        let name = self.rule_name(rule);
-        self.tracer.begin(MAIN_LANE, "rule", name);
-    }
-
-    fn rule_fire_end(&mut self, rule: usize) {
-        let name = self.rule_name(rule);
-        self.tracer.end(MAIN_LANE, "rule", name);
-    }
-
-    // Worker-side tallies replayed at the parallel barrier: the real
-    // spans already live on the worker lanes, so don't synthesize
-    // `count` zero-width main-lane spans.
-    fn rule_firings(&mut self, _rule: usize, _count: u64) {}
-
-    fn round_end(&mut self, _round: usize, derivations: usize, changed: usize) {
-        self.tracer
-            .end(MAIN_LANE, "round", NameRef::Static("round"));
-        self.tracer.counter(
-            MAIN_LANE,
-            NameRef::Static("heap"),
-            vec![
-                ("live", alloc::current_bytes() as u64),
-                ("peak", alloc::peak_bytes() as u64),
-            ],
-        );
-        self.tracer.counter(
-            MAIN_LANE,
-            NameRef::Static("delta"),
-            vec![("derived", derivations as u64), ("changed", changed as u64)],
-        );
-    }
-
-    fn component_end(&mut self, _component: usize, _rounds: usize) {
-        if let Some(name) = self.open_components.pop() {
-            self.tracer.end(MAIN_LANE, "component", name);
+    fn on(&mut self, event: &Event<'_>) {
+        match *event {
+            Event::ComponentStart {
+                component,
+                strategy,
+                cdb,
+            } => {
+                let preds: Vec<String> = cdb.iter().map(|p| self.program.pred_name(*p)).collect();
+                let label = format!(
+                    "component {component} [{}] {}",
+                    strategy.name(),
+                    preds.join(",")
+                );
+                let name = self.tracer.intern(&label);
+                self.open_components.push(name);
+                self.tracer.begin(MAIN_LANE, "component", name);
+            }
+            Event::RoundStart { round, full } => {
+                self.tracer.begin_args(
+                    MAIN_LANE,
+                    "round",
+                    NameRef::Static("round"),
+                    vec![("round", round as u64), ("full", full as u64)],
+                );
+            }
+            Event::FireStart { rule } => {
+                let name = self.rule_name(rule);
+                self.tracer.begin(MAIN_LANE, "rule", name);
+            }
+            Event::FireEnd { rule } => {
+                let name = self.rule_name(rule);
+                self.tracer.end(MAIN_LANE, "rule", name);
+            }
+            Event::RoundEnd {
+                derivations,
+                changed,
+                ..
+            } => {
+                self.tracer
+                    .end(MAIN_LANE, "round", NameRef::Static("round"));
+                self.tracer.counter(
+                    MAIN_LANE,
+                    NameRef::Static("heap"),
+                    vec![
+                        ("live", alloc::current_bytes() as u64),
+                        ("peak", alloc::peak_bytes() as u64),
+                    ],
+                );
+                self.tracer.counter(
+                    MAIN_LANE,
+                    NameRef::Static("delta"),
+                    vec![("derived", derivations as u64), ("changed", changed as u64)],
+                );
+            }
+            Event::ComponentEnd { .. } => {
+                if let Some(name) = self.open_components.pop() {
+                    self.tracer.end(MAIN_LANE, "component", name);
+                }
+            }
+            // `Firings` replays worker-side tallies at the parallel
+            // barrier: the real spans already live on the worker lanes, so
+            // no zero-width main-lane spans are synthesized for it.
+            _ => {}
         }
     }
 

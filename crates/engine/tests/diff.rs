@@ -1,10 +1,10 @@
 //! Property tests for the telemetry diff engine: `diff(x, x)` must be
 //! clean for the profile and metrics documents generated from *every*
 //! sample program, under a manual clock (so the documents themselves are
-//! bit-reproducible) and under the system clock (where timings differ
-//! between renders but every deterministic counter still matches). The
-//! bench-document property lives in the bench crate next to its
-//! renderer.
+//! bit-reproducible). The bench-document property lives in the bench
+//! crate next to its renderer; the two-process property (independent
+//! `maglog profile` runs diff clean) lives in the CLI tests, where no
+//! concurrently running test shares the allocator's high-water mark.
 
 use maglog_datalog::{parse_program, Program};
 use maglog_engine::{
@@ -84,19 +84,6 @@ fn metrics_self_diff_is_clean_for_every_sample_program() {
         let report = diff_texts(&doc, &doc).unwrap();
         assert!(report.is_clean(), "{label}: {report:?}");
         assert!(report.compared > 0, "{label}: nothing compared");
-    }
-}
-
-#[test]
-fn independent_runs_diff_clean_on_deterministic_counters() {
-    // Two *separate* evaluations of the same program: wall-clock figures
-    // may differ (system clock), but every deterministic counter — and
-    // therefore the whole manual-clock profile document — must agree.
-    for (label, program) in sample_programs() {
-        let a = profile_doc(&label, &program);
-        let b = profile_doc(&label, &program);
-        let report = diff_texts(&a, &b).unwrap();
-        assert!(report.is_clean(), "{label}: {report:?}");
     }
 }
 

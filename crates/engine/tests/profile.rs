@@ -13,7 +13,7 @@
 use maglog_datalog::parse_program;
 use maglog_engine::{
     alloc, Edb, EvalError, EvalOptions, Fanout, ManualClock, MetricsSink, MonotonicEngine,
-    NoopSink, ProfileReport, Strategy, TraceSink,
+    NoopSink, Optimize, ProfileReport, SpanSink, Strategy, Tracer,
 };
 
 /// Installed for the whole test binary so the memory-accounting tests can
@@ -234,7 +234,7 @@ fn noop_sink_and_instrumented_runs_agree_byte_for_byte() {
             .evaluate_with_sink(&Edb::new(), &mut NoopSink)
             .unwrap();
         let mut sink = Fanout(
-            TraceSink::new(&program),
+            SpanSink::new(&program, Tracer::new()),
             MetricsSink::new(&program, strategy),
         );
         let instrumented = MonotonicEngine::with_options(&program, options)
@@ -250,22 +250,12 @@ fn noop_sink_and_instrumented_runs_agree_byte_for_byte() {
     }
 }
 
-/// Run with a trace sink and return the human trace text.
+/// Profile one run and return its human trace text.
 fn trace(strategy: Strategy) -> String {
-    let program = parse_program(SHORTEST_PATH).unwrap();
-    let engine = MonotonicEngine::with_options(
-        &program,
-        EvalOptions {
-            strategy,
-            ..Default::default()
-        },
-    );
-    let mut sink = TraceSink::new(&program);
-    engine.evaluate_with_sink(&Edb::new(), &mut sink).unwrap();
-    sink.into_string()
+    profile(strategy).render_trace()
 }
 
-// The golden traces below pin the exact human text of `TraceSink` (it
+// The golden traces below pin the exact human text of `render_trace` (it
 // carries no timing, so it is deterministic byte for byte). If an engine
 // change legitimately shifts the evaluation, regenerate with
 // `maglog profile --strategy=<s>` and update the goldens with the change.
@@ -298,6 +288,73 @@ component 0 [naive] {path, s}
   fixpoint after 4 round(s)
 "
     );
+}
+
+#[test]
+fn greedy_trace_text_is_golden() {
+    assert_eq!(
+        trace(Strategy::Greedy),
+        "\
+component 0 [greedy] {path, s}
+  pop 1: settle path(b, direct, b) @ 0: 1 derivation(s), 1 queued | Δ path +1
+  pop 2: settle s(b, b) @ 0: 1 derivation(s), 1 queued | Δ s +1
+  pop 3: settle path(b, b, b) @ 0: 1 derivation(s), 0 queued | Δ path +1
+  pop 4: settle path(a, direct, b) @ 1: 1 derivation(s), 1 queued | Δ path +1
+  pop 5: settle s(a, b) @ 1: 1 derivation(s), 1 queued | Δ s +1
+  pop 6: settle path(a, b, b) @ 1: 1 derivation(s), 0 queued | Δ path +1
+  fixpoint after 6 round(s)
+"
+    );
+}
+
+#[test]
+fn optimized_trace_text_is_golden() {
+    let program = parse_program(SHORTEST_PATH).unwrap();
+    let mut sink = MetricsSink::new(&program, Strategy::SemiNaive);
+    MonotonicEngine::with_options(
+        &program,
+        EvalOptions {
+            optimize: Optimize {
+                prem: true,
+                ..Default::default()
+            },
+            ..Default::default()
+        },
+    )
+    .evaluate_with_sink(&Edb::new(), &mut sink)
+    .unwrap();
+    assert_eq!(
+        sink.finish().render_trace(),
+        "\
+optimize: prem: {path, s} premappable — dominance pruning enabled
+component 0 [seminaive] {path, s}
+  round 1 (full): 3 firing(s), 2 derivation(s), 2 changed | Δ path +2
+  round 2: 2 firing(s), 2 derivation(s), 2 changed | Δ s +2
+  round 3: 2 firing(s), 2 derivation(s), 2 changed | Δ path +2
+  round 4: 2 firing(s), 0 derivation(s), 0 changed
+component 0: 2 derivation(s) pruned by optimization
+  fixpoint after 4 round(s)
+"
+    );
+}
+
+#[test]
+fn long_traces_elide_rounds_past_fifty() {
+    // An 80-arc chain needs 81 semi-naive rounds: more than the profile's
+    // per-round detail keeps, so the elided count spans both caps.
+    let mut src: String = (0..80).map(|i| format!("e(n{i}, n{}). ", i + 1)).collect();
+    src.push_str("tc(X, Y) :- e(X, Y). tc(X, Y) :- tc(X, Z), e(Z, Y).");
+    let program = parse_program(&src).unwrap();
+    let mut sink = MetricsSink::new(&program, Strategy::SemiNaive);
+    MonotonicEngine::new(&program)
+        .evaluate_with_sink(&Edb::new(), &mut sink)
+        .unwrap();
+    let trace = sink.finish().render_trace();
+    let lines: Vec<&str> = trace.lines().collect();
+    assert_eq!(lines.len(), 1 + 50 + 2, "{trace}");
+    assert!(lines[50].starts_with("  round 50: "), "{trace}");
+    assert_eq!(lines[51], "  ... 31 more round(s) elided");
+    assert_eq!(lines[52], "  fixpoint after 81 round(s)");
 }
 
 #[test]

@@ -100,7 +100,7 @@ use maglog::engine::{
     render_explain_human, render_explain_json, render_profile_json, render_why_not_human,
     render_why_not_json, validate_chrome_trace, why_not, Document, Edb, EvalOptions, Fanout,
     HistogramSink, MetricSet, MetricsServer, MetricsSink, Model, MonotonicEngine, Optimize,
-    Registry, SpanSink, Strategy, TraceSink, Tracer, Tuple, TRACE_SCHEMA,
+    Registry, SpanSink, Strategy, Tracer, Tuple, TRACE_SCHEMA,
 };
 use std::process::ExitCode;
 
@@ -1314,10 +1314,7 @@ fn cmd_profile(path: &str, opts: &ProfileOpts) -> Result<(), String> {
         });
         let mut sink = Fanout(
             tracer.as_ref().map(|t| SpanSink::new(&program, t.clone())),
-            Fanout(
-                Fanout(TraceSink::new(&program), MetricsSink::new(&program, strategy)),
-                hist,
-            ),
+            Fanout(MetricsSink::new(&program, strategy), hist),
         );
         // Scope the allocator peak to this strategy's evaluation, so each
         // report's alloc_peak_bytes is a per-strategy high-water mark.
@@ -1328,7 +1325,7 @@ fn cmd_profile(path: &str, opts: &ProfileOpts) -> Result<(), String> {
         if let (Some(t), Some(name)) = (tracer.as_ref(), span) {
             t.end(MAIN_LANE, "phase", name);
         }
-        let Fanout(_span, Fanout(Fanout(trace, metrics), hist)) = sink;
+        let Fanout(_span, Fanout(metrics, hist)) = sink;
         let hist_set = hist.map(HistogramSink::finish);
         if let Some(set) = &hist_set {
             all_metrics.merge(set);
@@ -1350,7 +1347,7 @@ fn cmd_profile(path: &str, opts: &ProfileOpts) -> Result<(), String> {
         }
         match opts.format {
             Format::Human => {
-                print!("{}", trace.into_string());
+                print!("{}", report.render_trace());
                 print!("{}", report.render_human());
                 println!();
             }

@@ -106,6 +106,20 @@ fn profile_human_traces_rounds_for_one_strategy() {
 }
 
 #[test]
+fn run_names_fact_cost_conflicts_by_their_key() {
+    let file = trace_tmp("fact_conflict.mgl");
+    std::fs::write(
+        &file,
+        "declare pred arc/3 cost min_real.\narc(a, b, 4). arc(a, b, 9).\n",
+    )
+    .unwrap();
+    let out = maglog(&["run", file.to_str().unwrap()]);
+    assert_eq!(out.status.code(), Some(1), "{}", stderr(&out));
+    let err = stderr(&out);
+    assert!(err.contains("cost conflict on arc(a, b)"), "{err}");
+}
+
+#[test]
 fn profile_rejects_bad_flag_values() {
     let out = maglog(&["profile", "--format=xml", "programs/shortest_path.mgl"]);
     assert_eq!(out.status.code(), Some(2));
@@ -1276,6 +1290,33 @@ fn diff_self_is_clean_for_all_three_document_kinds() {
         let out = maglog(&["diff", "--gate", "1.01", p, p]);
         assert!(out.status.success(), "{kind}: {}", stderr(&out));
         assert!(stderr(&out).contains("diff gate: OK"), "{}", stderr(&out));
+    }
+}
+
+#[test]
+fn independent_profile_runs_diff_clean() {
+    // Two separate processes profile the same program: every figure,
+    // allocator memory included, must agree within the diff's noise
+    // model. Separate processes keep the allocator high-water mark free
+    // of other tests and of the first document.
+    let mut programs: Vec<PathBuf> =
+        std::fs::read_dir(concat!(env!("CARGO_MANIFEST_DIR"), "/programs"))
+            .unwrap()
+            .map(|e| e.unwrap().path())
+            .filter(|p| p.extension().is_some_and(|x| x == "mgl"))
+            .collect();
+    programs.sort();
+    assert!(!programs.is_empty(), "no sample programs found");
+    for prog in &programs {
+        let run = || {
+            let out = maglog(&["profile", "--format=json", prog.to_str().unwrap()]);
+            assert!(out.status.success(), "{prog:?}: {}", stderr(&out));
+            stdout(&out)
+        };
+        let (a, b) = (run(), run());
+        let report = maglog::engine::diff_texts(&a, &b).unwrap();
+        assert!(report.is_clean(), "{prog:?}: {report:?}");
+        assert!(report.compared > 0, "{prog:?}: nothing compared");
     }
 }
 
