@@ -9,9 +9,14 @@
 //! The **semi-naive** strategy tracks the *delta* — keys that appeared or
 //! whose cost strictly grew in `⊑` — and re-fires a rule only from
 //! occurrences of changed atoms: positive body atoms are re-joined seeded
-//! by the delta tuple, and aggregates are re-evaluated only for the
-//! affected grouping bindings (derived by matching the delta tuple against
-//! the aggregate's conjunct). This is the lattice generalization of
+//! by the delta tuple, and aggregates are re-folded only for the affected
+//! groups. When the changed conjunct's key binds every grouping variable,
+//! matching the delta tuple against it yields the one affected group.
+//! Otherwise (Example 4.4's `[connect(G, W), t(W, D)]`, where a changed
+//! `t(W)` binds only `W`) the driver runs a plan-time *group-discovery*
+//! join: the delta tuple's key, joined through the aggregate's other
+//! conjuncts, enumerates every group the tuple belongs to, and each group
+//! is re-folded on its own seed. This is the lattice generalization of
 //! classical semi-naive evaluation and is benchmarked against naive
 //! iteration as an ablation.
 
@@ -21,7 +26,7 @@ use crate::error::EvalError;
 use crate::events::{Event, EventSink, InsertOutcome, NoopSink};
 use crate::interp::{Interp, Sig, Tuple};
 use crate::model::Model;
-use crate::plan::{plan_rule, prem_rewrites, Optimize, Plan, Rewrites, Step};
+use crate::plan::{plan_conjuncts, plan_rule, prem_rewrites, Optimize, Plan, Rewrites, Step};
 use crate::provenance::{
     select_witnesses, AggWitness, BodyAtom, Capture, Goal, NoCapture, Provenance,
     ProvenanceTracker, RuleProbe, WhyNotReport,
@@ -30,7 +35,7 @@ use crate::value::{RuntimeDomain, Value};
 use maglog_analysis::{check_program, derivation_cone, key_arity, uniform_binding};
 use maglog_datalog::graph::{components, Component};
 use maglog_datalog::{
-    AggEq, AggFunc, Atom, BinOp, CmpOp, Const, Expr, Literal, Pred, Program, Rule, Term, Var,
+    AggEq, AggFunc, Atom, BinOp, CmpOp, Expr, Literal, Pred, Program, Rule, Term, Var,
 };
 use crate::par::{self, FireTally};
 use crate::trace::{NameRef, Ph, MAIN_LANE};
@@ -484,6 +489,8 @@ impl<'p> MonotonicEngine<'p> {
                             conjunct: None,
                             plan: seeded,
                             relax: None,
+                            groupings: Vec::new(),
+                            discover: None,
                         });
                     }
                     Literal::Agg(agg) => {
@@ -492,18 +499,48 @@ impl<'p> MonotonicEngine<'p> {
                         // exactly the head cost argument and occurs nowhere
                         // else in the rule.
                         let relax_plan = relaxation_plan(self.program, rule, li, agg);
+                        let mut groupings = rule.aggregate_grouping_vars(li);
+                        groupings.sort_unstable();
                         for (ci, conj) in agg.conjuncts.iter().enumerate() {
-                            if cdb.contains(&conj.pred) {
-                                drivers.push(Driver {
-                                    pred: conj.pred,
-                                    lit: li,
-                                    conjunct: Some(ci),
-                                    // Aggregate drivers re-run the default
-                                    // plan with grouping vars pre-bound.
-                                    plan: plan.clone(),
-                                    relax: relax_plan.clone(),
-                                });
+                            if !cdb.contains(&conj.pred) {
+                                continue;
                             }
+                            // Group discovery (see Driver): unless the
+                            // element is relaxed, a conjunct whose key
+                            // variables miss a grouping variable reaches
+                            // its groups through the other conjuncts.
+                            let has_cost = self.program.is_cost_pred(conj.pred);
+                            let key_vars: BTreeSet<Var> = conj
+                                .key_args(has_cost)
+                                .iter()
+                                .filter_map(|t| t.as_var())
+                                .collect();
+                            let discover = if relax_plan.is_some()
+                                || groupings.iter().all(|v| key_vars.contains(v))
+                            {
+                                None
+                            } else {
+                                plan_conjuncts(self.program, rule, li, &key_vars, Some(ci)).map(
+                                    |(order, sigs)| {
+                                        for (c, sig) in order.iter().zip(sigs) {
+                                            db.relation_mut(agg.conjuncts[*c].pred)
+                                                .ensure_index(sig);
+                                        }
+                                        order
+                                    },
+                                )
+                            };
+                            drivers.push(Driver {
+                                pred: conj.pred,
+                                lit: li,
+                                conjunct: Some(ci),
+                                // Aggregate drivers re-run the default
+                                // plan with grouping vars pre-bound.
+                                plan: plan.clone(),
+                                relax: relax_plan.clone(),
+                                groupings: groupings.clone(),
+                                discover,
+                            });
                         }
                     }
                     _ => {}
@@ -514,9 +551,9 @@ impl<'p> MonotonicEngine<'p> {
 
         // Register every plan-selected probe signature on its relation so
         // the join indexes exist before the first probe (plan-time index
-        // selection). Aggregate-driver reruns that bind extra grouping
-        // positions fall back to lazily created indexes for their wider
-        // signatures.
+        // selection; group-discovery joins registered theirs above).
+        // Aggregate-driver reruns that bind extra grouping positions fall
+        // back to lazily created indexes for their wider signatures.
         for exec in &execs {
             let mut wanted: Vec<(Pred, Sig)> = exec.plan.probe_sigs(exec.rule);
             for driver in &exec.drivers {
@@ -1176,8 +1213,10 @@ impl<'p> MonotonicEngine<'p> {
         Ok(pops)
     }
 
-    /// Fire one semi-naive driver for one delta tuple, if `shard` (the
-    /// `(shard, shards)` pair of [`Self::fire_shard`]) owns its seed.
+    /// Fire one semi-naive driver for one delta tuple, once per seed that
+    /// `shard` (the `(shard, shards)` pair of [`Self::fire_shard`]) owns.
+    /// A positive-atom driver has one seed, the delta tuple's binding; an
+    /// aggregate driver has one seed per group the tuple affects.
     #[allow(clippy::too_many_arguments)]
     fn fire_driver<S: EventSink, C: Capture>(
         &self,
@@ -1205,99 +1244,109 @@ impl<'p> MonotonicEngine<'p> {
             .cost(ctx.program, driver.pred, delta_key)
             .unwrap_or(None);
         let mut binding = Binding::new();
-        if !match_atom_against(ctx.program, atom, delta_key, &cost, &mut binding) {
-            return Ok(());
-        }
-        // Join-fold relaxation: bind the result variable to the delta
-        // element and skip the aggregate entirely.
-        if let (Some(relax), Some(_)) = (&driver.relax, driver.conjunct) {
-            let rule_agg = match &rule.body[driver.lit] {
-                Literal::Agg(a) => a,
-                _ => unreachable!("relax driver on non-aggregate"),
-            };
-            let Term::Var(result) = rule_agg.result else {
-                unreachable!("relaxation requires a variable result")
-            };
-            let Some(element) = cost.clone() else {
+        let disc = driver.lit as u64 * 1024 + driver.conjunct.unwrap_or(1023) as u64;
+        let seeds: Vec<Vec<(Var, Value)>> = if let Some(order) = &driver.discover {
+            // Group discovery: match only the key, so a group that held
+            // the element under its old cost is reached too, then join the
+            // other conjuncts to enumerate the groups the tuple is in.
+            if !match_key_against(ctx.program, atom, delta_key, &mut binding) {
                 return Ok(());
+            }
+            let Literal::Agg(agg) = &rule.body[driver.lit] else {
+                unreachable!("discovering driver on non-aggregate")
             };
-            let groupings: BTreeSet<Var> = rule
-                .aggregate_grouping_vars(driver.lit)
-                .into_iter()
-                .collect();
-            let mut seed: HashMap<Var, Value> = binding
-                .map
-                .iter()
-                .filter(|(v, _)| groupings.contains(v))
-                .map(|(v, val)| (*v, val.clone()))
-                .collect();
-            seed.insert(result, element);
-            let mut seed_vec: Vec<(Var, Value)> =
-                seed.iter().map(|(v, val)| (*v, val.clone())).collect();
-            seed_vec.sort_by_key(|(v, _)| *v);
-            let disc = driver.lit as u64 * 1024 + 1022;
-            if !claim_seed(seen_seeds, shard, exec_index, disc, seed_vec) {
+            let mut seeds = Vec::new();
+            enumerate_conjuncts(ctx, agg, order, 0, &mut binding, &mut NoCapture, &mut |b, _| {
+                seeds.push(grouping_seed(&driver.groupings, b));
+            })?;
+            seeds
+        } else {
+            if !match_atom_against(ctx.program, atom, delta_key, &cost, &mut binding) {
                 return Ok(());
+            }
+            if driver.relax.is_some() {
+                return self.fire_relaxed(
+                    ctx, exec_index, exec, driver, delta_key, &cost, &binding, seen_seeds,
+                    derived, stats, sink, cap, shard,
+                );
+            }
+            // An aggregate driver keeps only the grouping variables: the
+            // aggregate recomputes its group in full.
+            let seed = if driver.conjunct.is_some() {
+                grouping_seed(&driver.groupings, &binding)
+            } else {
+                let mut all: Vec<(Var, Value)> = binding.map.into_iter().collect();
+                all.sort_by_key(|(v, _)| *v);
+                all
+            };
+            vec![seed]
+        };
+        for seed in seeds {
+            let mut b = Binding {
+                map: seed.iter().cloned().collect(),
+            };
+            if !claim_seed(seen_seeds, shard, exec_index, disc, seed) {
+                continue;
             }
             stats.firings += 1;
             sink.on(&Event::FireStart { rule: exec.ri });
             if C::ENABLED {
                 cap.begin_rule(exec.ri);
-                // The relaxed derivation's aggregate witness is the delta
-                // element itself: the group was not rescanned, the lattice
-                // join resolves the rest (marked `partial`).
-                let elem = cost.clone().expect("relax driver has an element");
-                cap.push_agg(AggWitness {
-                    lit: driver.lit,
-                    func: rule_agg.func,
-                    result: elem.clone(),
-                    elements: 1,
-                    witnesses: vec![(
-                        elem,
-                        vec![BodyAtom {
-                            pred: driver.pred,
-                            key: Arc::new(delta_key.clone()),
-                            cost: cost.clone(),
-                        }],
-                    )],
-                    witnesses_total: 1,
-                    partial: true,
-                });
+                // A positive-atom driver's seeded plan skips re-matching the
+                // delta atom, so put it on the trail by hand. (Aggregate
+                // drivers re-run the full plan: their trail is complete.)
+                if driver.conjunct.is_none() {
+                    cap.push_atom(driver.pred, delta_key, &cost);
+                }
             }
             derived.current = exec_index;
-            let mut b: Binding = seed.into();
-            derived.joining = true;
-            let r = exec_steps(ctx, rule, &relax.steps, &mut b, derived, cap);
-            derived.joining = false;
-            if C::ENABLED {
-                cap.pop_agg();
+            let r = exec_steps(ctx, rule, &driver.plan.steps, &mut b, derived, cap);
+            if C::ENABLED && driver.conjunct.is_none() {
+                cap.pop_atom();
             }
             sink.on(&Event::FireEnd { rule: exec.ri });
-            return r;
+            r?;
         }
+        Ok(())
+    }
 
-        // For aggregate drivers, keep only the grouping variables: the
-        // aggregate recomputes its group in full.
-        let seed: Binding = if driver.conjunct.is_some() {
-            let groupings: BTreeSet<Var> =
-                rule.aggregate_grouping_vars(driver.lit).into_iter().collect();
-            binding
-                .map
-                .iter()
-                .filter(|(v, _)| groupings.contains(v))
-                .map(|(v, val)| (*v, val.clone()))
-                .collect::<HashMap<_, _>>()
-                .into()
-        } else {
-            binding
+    /// Join-fold relaxation of one delta element (see [`Driver::relax`]):
+    /// bind the result variable to the element and skip the aggregate
+    /// entirely.
+    #[allow(clippy::too_many_arguments)]
+    fn fire_relaxed<S: EventSink, C: Capture>(
+        &self,
+        ctx: &Ctx<'_>,
+        exec_index: usize,
+        exec: &RuleExec<'_>,
+        driver: &Driver,
+        delta_key: &Tuple,
+        cost: &Option<Value>,
+        binding: &Binding,
+        seen_seeds: &mut SeenSeeds,
+        derived: &mut RoundBuffer<'_>,
+        stats: &mut EvalStats,
+        sink: &mut S,
+        cap: &mut C,
+        shard: (usize, usize),
+    ) -> Result<(), EvalError> {
+        let rule = exec.rule;
+        let (Some(relax), Literal::Agg(rule_agg)) = (&driver.relax, &rule.body[driver.lit]) else {
+            unreachable!("relax driver on non-aggregate")
         };
-        let mut seed_vec: Vec<(Var, Value)> = seed
-            .map
-            .iter()
-            .map(|(v, val)| (*v, val.clone()))
-            .collect();
+        let Term::Var(result) = rule_agg.result else {
+            unreachable!("relaxation requires a variable result")
+        };
+        let Some(element) = cost.clone() else {
+            return Ok(());
+        };
+        let mut seed_vec = grouping_seed(&driver.groupings, binding);
+        seed_vec.push((result, element.clone()));
         seed_vec.sort_by_key(|(v, _)| *v);
-        let disc = driver.lit as u64 * 1024 + driver.conjunct.unwrap_or(1023) as u64;
+        let mut b = Binding {
+            map: seed_vec.iter().cloned().collect(),
+        };
+        let disc = driver.lit as u64 * 1024 + 1022;
         if !claim_seed(seen_seeds, shard, exec_index, disc, seed_vec) {
             return Ok(());
         }
@@ -1305,22 +1354,45 @@ impl<'p> MonotonicEngine<'p> {
         sink.on(&Event::FireStart { rule: exec.ri });
         if C::ENABLED {
             cap.begin_rule(exec.ri);
-            // A positive-atom driver's seeded plan skips re-matching the
-            // delta atom, so put it on the trail by hand. (Aggregate
-            // drivers re-run the full plan: their trail is complete.)
-            if driver.conjunct.is_none() {
-                cap.push_atom(driver.pred, delta_key, &cost);
-            }
+            // The relaxed derivation's aggregate witness is the delta
+            // element itself: the group was not rescanned, the lattice
+            // join resolves the rest (marked `partial`).
+            cap.push_agg(AggWitness {
+                lit: driver.lit,
+                func: rule_agg.func,
+                result: element.clone(),
+                elements: 1,
+                witnesses: vec![(
+                    element,
+                    vec![BodyAtom {
+                        pred: driver.pred,
+                        key: Arc::new(delta_key.clone()),
+                        cost: cost.clone(),
+                    }],
+                )],
+                witnesses_total: 1,
+                partial: true,
+            });
         }
         derived.current = exec_index;
-        let mut b = seed;
-        let r = exec_steps(ctx, rule, &driver.plan.steps, &mut b, derived, cap);
-        if C::ENABLED && driver.conjunct.is_none() {
-            cap.pop_atom();
+        derived.joining = true;
+        let r = exec_steps(ctx, rule, &relax.steps, &mut b, derived, cap);
+        derived.joining = false;
+        if C::ENABLED {
+            cap.pop_agg();
         }
         sink.on(&Event::FireEnd { rule: exec.ri });
         r
     }
+}
+
+/// The seed of an aggregate driver: the bound grouping variables (sorted,
+/// as `groupings` is) with their values.
+fn grouping_seed(groupings: &[Var], binding: &Binding) -> Vec<(Var, Value)> {
+    groupings
+        .iter()
+        .filter_map(|v| binding.get(*v).map(|val| (*v, val.clone())))
+        .collect()
 }
 
 /// Claim a semi-naive seed for `shard`: a seed hashing to another shard
@@ -1493,6 +1565,16 @@ struct Driver {
     /// accumulated lattice join over all relaxations equals the aggregate
     /// of the full group, at O(1) per delta instead of a group rescan.
     relax: Option<Plan>,
+    /// The driven aggregate's grouping variables, sorted (empty for a
+    /// positive-atom driver).
+    groupings: Vec<Var>,
+    /// Group discovery: when the conjunct's key variables miss a grouping
+    /// variable, the join order of the aggregate's *other* conjuncts with
+    /// the delta tuple's key bound. Enumerating it finds every group the
+    /// delta tuple belongs to, and each group is re-folded on its own
+    /// seed; without it the seed would bind no grouping at all and the
+    /// whole rule would be re-folded.
+    discover: Option<Vec<usize>>,
 }
 
 /// Is `func` the lattice join-fold of `domain` (so that
@@ -1814,6 +1896,7 @@ fn exec_steps<C: Capture>(
         }
         Step::Agg {
             lit,
+            groupings,
             conjunct_order,
             ..
         } => {
@@ -1825,6 +1908,7 @@ fn exec_steps<C: Capture>(
                 rule,
                 *lit,
                 agg,
+                groupings,
                 conjunct_order,
                 binding,
                 cap,
@@ -2054,8 +2138,29 @@ fn match_atom_against(
     cost: &Option<Value>,
     binding: &mut Binding,
 ) -> bool {
-    let has_cost = program.is_cost_pred(atom.pred);
-    let key_args = atom.key_args(has_cost);
+    if !match_key_against(program, atom, key, binding) {
+        return false;
+    }
+    if !program.is_cost_pred(atom.pred) {
+        return true;
+    }
+    let Some(cv) = cost else { return false };
+    match atom.cost_arg(true).expect("cost predicate") {
+        Term::Const(c) => values_equal(&Value::from_const(*c), cv),
+        Term::Var(v) => match binding.get(*v) {
+            Some(bound) => values_equal(bound, cv),
+            None => {
+                binding.bind(*v, cv.clone());
+                true
+            }
+        },
+    }
+}
+
+/// Match only the key positions of an atom against `key`, leaving its cost
+/// argument unbound — used by group-discovering drivers.
+fn match_key_against(program: &Program, atom: &Atom, key: &Tuple, binding: &mut Binding) -> bool {
+    let key_args = atom.key_args(program.is_cost_pred(atom.pred));
     if key_args.len() != key.arity() {
         return false;
     }
@@ -2073,24 +2178,6 @@ fn match_atom_against(
                     }
                 }
                 None => binding.bind(*v, key[i].clone()),
-            },
-        }
-    }
-    if has_cost {
-        let Some(cv) = cost else { return false };
-        match atom.cost_arg(true).expect("cost predicate") {
-            Term::Const(c) => {
-                if !values_equal(&Value::from_const(*c), cv) {
-                    return false;
-                }
-            }
-            Term::Var(v) => match binding.get(*v) {
-                Some(bound) => {
-                    if !values_equal(bound, cv) {
-                        return false;
-                    }
-                }
-                None => binding.bind(*v, cv.clone()),
             },
         }
     }
@@ -2130,12 +2217,12 @@ fn eval_aggregate<C: Capture>(
     rule: &Rule,
     lit: usize,
     agg: &maglog_datalog::Aggregate,
+    grouping_vars: &[Var],
     conjunct_order: &[usize],
     binding: &mut Binding,
     cap: &mut C,
     k: &mut dyn FnMut(&mut Binding, &mut C) -> Result<(), EvalError>,
 ) -> Result<(), EvalError> {
-    let grouping_vars = rule.aggregate_grouping_vars(lit);
 
     // Enumerate all assignments of the conjunction (restricted by the
     // current binding), folding each multiset element straight into its
@@ -2275,7 +2362,6 @@ fn eval_aggregate<C: Capture>(
             binding.unbind(v);
         }
     }
-    let _ = AggFunc::Count; // silence unused-import lints in some cfgs
     Ok(())
 }
 
@@ -2586,6 +2672,7 @@ fn probe_steps(
         }
         Step::Agg {
             lit,
+            groupings,
             conjunct_order,
             ..
         } => {
@@ -2597,6 +2684,7 @@ fn probe_steps(
                 rule,
                 *lit,
                 agg,
+                groupings,
                 conjunct_order,
                 binding,
                 &mut NoCapture,
@@ -2707,12 +2795,6 @@ fn subst_literal(program: &Program, lit: &Literal, binding: &Binding) -> String 
             )
         }
     }
-}
-
-// `Const` is referenced by pattern matches above; keep the import honest.
-#[allow(unused)]
-fn _const_witness(c: Const) -> Const {
-    c
 }
 
 #[cfg(test)]

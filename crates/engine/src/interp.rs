@@ -521,18 +521,18 @@ impl Interp {
 }
 
 /// Equality of interpretations up to stored content (used for fixpoint
-/// detection).
+/// detection): an empty relation equals an absent one, such as those
+/// [`Relation::ensure_index`] registration leaves behind.
 impl PartialEq for Interp {
     fn eq(&self, other: &Self) -> bool {
-        if self.rels.len() != other.rels.len() {
-            return false;
-        }
-        self.rels.iter().all(|(pred, rel)| {
-            other.rels.get(pred).map_or(rel.is_empty(), |orel| {
-                rel.len() == orel.len()
-                    && rel.iter().all(|(k, c)| orel.get(k) == Some(c))
+        let covered_by = |a: &Interp, b: &Interp| {
+            a.rels.iter().filter(|(_, rel)| !rel.is_empty()).all(|(pred, rel)| {
+                b.rels.get(pred).is_some_and(|brel| {
+                    rel.len() == brel.len() && rel.iter().all(|(k, c)| brel.get(k) == Some(c))
+                })
             })
-        })
+        };
+        covered_by(self, other) && covered_by(other, self)
     }
 }
 
@@ -725,5 +725,31 @@ mod tests {
             .insert(Tuple::new(vec![b.clone(), c.clone()]), None);
         i.relation_mut(e).insert(Tuple::new(vec![a, b]), None);
         assert_eq!(i.render(&p), "e(a, b)\ne(b, c)");
+    }
+
+    #[test]
+    fn empty_relations_do_not_affect_equality() {
+        let p = parse_program("p(a). q(a). r(a).").unwrap();
+        let [pp, q, r] = ["p", "q", "r"].map(|n| p.find_pred(n).unwrap());
+        let x = Tuple::new(vec![Value::Sym(p.symbols.intern("x"))]);
+
+        // {p: ∅} = {}: registering an index creates the empty relation.
+        let mut a = Interp::new();
+        a.relation_mut(pp).ensure_index(1);
+        assert_eq!(a, Interp::new());
+        assert_eq!(Interp::new(), a);
+
+        // {p: ∅, q: x} = {q: x, r: ∅}.
+        a.relation_mut(q).insert(x.clone(), None);
+        let mut b = Interp::new();
+        b.relation_mut(q).insert(x.clone(), None);
+        b.relation_mut(r).ensure_index(1);
+        assert_eq!(a, b);
+        assert_eq!(b, a);
+
+        // Content still counts, in both directions.
+        b.relation_mut(r).insert(x, None);
+        assert_ne!(a, b);
+        assert_ne!(b, a);
     }
 }

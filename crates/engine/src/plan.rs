@@ -142,12 +142,14 @@ pub enum Step {
     Test { lit: usize },
     /// Check a fully bound negative literal.
     Neg { lit: usize },
-    /// Evaluate an aggregate subgoal; `conjunct_order` is the join order
-    /// of its conjunction given the variables bound at this point, and
-    /// `conjunct_sigs[i]` the signature conjunct `conjunct_order[i]` will
-    /// probe.
+    /// Evaluate an aggregate subgoal; `groupings` are its grouping
+    /// variables ([`Rule::aggregate_grouping_vars`]), `conjunct_order` is
+    /// the join order of its conjunction given the variables bound at this
+    /// point, and `conjunct_sigs[i]` the signature conjunct
+    /// `conjunct_order[i]` will probe.
     Agg {
         lit: usize,
+        groupings: Vec<Var>,
         conjunct_order: Vec<usize>,
         conjunct_sigs: Vec<Sig>,
     },
@@ -192,6 +194,7 @@ impl Plan {
                     lit,
                     conjunct_order,
                     conjunct_sigs,
+                    ..
                 } => {
                     if let Literal::Agg(agg) = &rule.body[*lit] {
                         for (ci, sig) in conjunct_order.iter().zip(conjunct_sigs) {
@@ -237,6 +240,7 @@ impl Plan {
                     lit,
                     conjunct_order,
                     conjunct_sigs,
+                    ..
                 } => {
                     let inner: Vec<String> = match &rule.body[*lit] {
                         Literal::Agg(agg) => conjunct_order
@@ -296,9 +300,9 @@ pub fn plan_rule(
                 bound.insert(*target);
             }
             Step::Test { .. } | Step::Neg { .. } => {}
-            Step::Agg { lit, .. } => {
+            Step::Agg { lit, groupings, .. } => {
                 if let Literal::Agg(agg) = &rule.body[*lit] {
-                    bound.extend(rule.aggregate_grouping_vars(*lit));
+                    bound.extend(groupings.iter().copied());
                     if let Term::Var(v) = agg.result {
                         bound.insert(v);
                     }
@@ -383,11 +387,12 @@ fn pick_next(
                     None
                 } else {
                     let tier = if all_bound { 5 } else { 7 };
-                    plan_conjuncts(program, rule, li, bound).map(|(order, sigs)| {
+                    plan_conjuncts(program, rule, li, bound, None).map(|(order, sigs)| {
                         (
                             tier * 16,
                             Step::Agg {
                                 lit: li,
+                                groupings,
                                 conjunct_order: order,
                                 conjunct_sigs: sigs,
                             },
@@ -414,14 +419,16 @@ fn pick_next(
 
 /// Order the conjuncts of the aggregate at body index `li`, assuming
 /// `bound` plus whatever earlier conjuncts bind, and record the probe
-/// signature of each conjunct in that order. Default-value predicates
-/// must have all non-cost arguments bound before they are matched
-/// (otherwise their infinite extension would be enumerated).
-fn plan_conjuncts(
+/// signature of each conjunct in that order. The conjunct `skip` (if any)
+/// is left out: a semi-naive driver has already matched it. Default-value
+/// predicates must have all non-cost arguments bound before they are
+/// matched (otherwise their infinite extension would be enumerated).
+pub(crate) fn plan_conjuncts(
     program: &Program,
     rule: &Rule,
     li: usize,
     bound: &BTreeSet<Var>,
+    skip: Option<usize>,
 ) -> Option<(Vec<usize>, Vec<Sig>)> {
     let Literal::Agg(agg) = &rule.body[li] else {
         return None;
@@ -429,7 +436,9 @@ fn plan_conjuncts(
     let mut bound = bound.clone();
     let mut order = Vec::new();
     let mut sigs = Vec::new();
-    let mut remaining: Vec<usize> = (0..agg.conjuncts.len()).collect();
+    let mut remaining: Vec<usize> = (0..agg.conjuncts.len())
+        .filter(|ci| Some(*ci) != skip)
+        .collect();
     while !remaining.is_empty() {
         let mut best: Option<(usize, usize, usize)> = None; // (unbound count, pos, idx)
         for (pos, &ci) in remaining.iter().enumerate() {
@@ -540,6 +549,25 @@ mod tests {
             panic!("expected aggregate step, got {:?}", plan.steps);
         };
         assert_eq!(conjunct_order, &vec![1, 0]);
+    }
+
+    #[test]
+    fn discovery_order_skips_the_driving_conjunct() {
+        let (p, _) = plan_first_rule(
+            r#"
+            declare pred t/2 cost bool_or default.
+            t(G, C) :- gate(G, or), C = or D : [connect(G, W), t(W, D)].
+            "#,
+        );
+        let rule = &p.rules[0];
+        let Literal::Agg(agg) = &rule.body[1] else {
+            panic!("expected an aggregate");
+        };
+        // A changed t(W, D) binds W: the groups are found by probing
+        // connect on its second position.
+        let w = agg.conjuncts[1].args[0].as_var().unwrap();
+        let found = plan_conjuncts(&p, rule, 1, &BTreeSet::from([w]), Some(1));
+        assert_eq!(found, Some((vec![0], vec![0b10])));
     }
 
     #[test]
