@@ -1,20 +1,16 @@
-//! The experiments binary: regenerates every table in EXPERIMENTS.md.
+//! The experiments binary: regenerates the semantics tables in
+//! EXPERIMENTS.md and the P6 aggregate microbenchmarks.
 //!
 //! ```text
-//! cargo run --release -p maglog-bench --bin experiments            # all
-//! cargo run --release -p maglog-bench --bin experiments -- fig1   # one
-//! cargo run --release -p maglog-bench --bin experiments -- --json # BENCH_engine.json
+//! cargo run --release -p maglog-bench --bin experiments                # all
+//! cargo run --release -p maglog-bench --bin experiments -- fig1       # one
+//! cargo run --release -p maglog-bench --bin experiments -- aggregates # P6
 //! ```
 //!
-//! `--json` runs the full benchmark matrix through the v2 harness
-//! ([`maglog_bench::v2`]) — naive/semi-naive/greedy on each scaling
-//! workload, median/min/MAD over `--samples` timed runs (default 3,
-//! `MAGLOG_BENCH_JSON_SAMPLES` also respected), throughput, peak heap,
-//! and a cross-check that all three strategies produce the same model —
-//! and writes `BENCH_engine.json` (schema `maglog-bench-v2`) at the repo
-//! root. Work counters from an untimed instrumented run are always
-//! embedded, so the old `--profile` flag is accepted as a no-op.
-//! Unknown sections or flags are usage errors (exit 2).
+//! Engine timings (the P1–P4 tables and `BENCH_engine.json`) come from
+//! `maglog bench`; the `aggregates` section times through the same
+//! sample loop ([`maglog_bench::v2::time_samples`]). Unknown sections or
+//! flags are usage errors (exit 2).
 
 use maglog_analysis::rmono::r_monotonicity_report;
 use maglog_analysis::{check_program, conflict_free_report, is_cost_respecting};
@@ -25,20 +21,19 @@ use maglog_baselines::ggz::{evaluate_ggz, GgzOutcome};
 use maglog_baselines::kemp_stuckey::{ks_well_founded, AtomStatus};
 use maglog_baselines::stable::is_stable_model;
 use maglog_baselines::stratified::evaluate_stratified;
-use maglog_bench::{fmt_secs, program, run_greedy, run_naive, run_seminaive, timed, v2};
+use maglog_bench::v2::time_samples;
+use maglog_bench::{fmt_secs, program, run_seminaive};
 use maglog_datalog::{parse_program, AggFunc, DomainSpec};
+use maglog_engine::aggregate::apply;
 use maglog_engine::value::RuntimeDomain;
 use maglog_engine::{Edb, Interp, MonotonicEngine, Tuple, Value};
+use maglog_lattice::Multiset;
 use maglog_workloads::{
     grid_graph, layered_dag, programs, random_circuit, random_digraph, random_ownership,
     random_party, ring_with_chords,
 };
 use maglog_prng::rngs::StdRng;
 use maglog_prng::{Rng, SeedableRng};
-
-/// Count allocations so `--json` can report per-strategy peak heap.
-#[global_allocator]
-static ALLOC: maglog_engine::alloc::CountingAlloc = maglog_engine::alloc::CountingAlloc;
 
 const SECTIONS: [&str; 14] = [
     "fig1",
@@ -54,50 +49,18 @@ const SECTIONS: [&str; 14] = [
     "rmono",
     "prop6_1",
     "termination",
-    "perf",
+    "aggregates",
 ];
 
 fn usage_exit(msg: &str) -> ! {
     eprintln!("experiments: {msg}");
     eprintln!("usage: experiments [SECTION...]");
-    eprintln!("       experiments --json [--samples N] [--profile]");
     eprintln!("sections: {}", SECTIONS.join(" "));
     std::process::exit(2);
 }
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.iter().any(|a| a == "--json") {
-        let mut samples: Option<usize> = None;
-        let mut set_samples = |v: &str| {
-            samples = Some(
-                v.parse()
-                    .ok()
-                    .filter(|&n: &usize| n >= 1)
-                    .unwrap_or_else(|| usage_exit("--samples wants a positive integer")),
-            );
-        };
-        let mut i = 0;
-        while i < args.len() {
-            match args[i].as_str() {
-                "--json" | "--profile" => {}
-                "--samples" => {
-                    i += 1;
-                    match args.get(i) {
-                        Some(v) => set_samples(v),
-                        None => usage_exit("--samples needs a value"),
-                    }
-                }
-                other => match other.strip_prefix("--samples=") {
-                    Some(v) => set_samples(v),
-                    None => usage_exit(&format!("unknown flag {other:?}")),
-                },
-            }
-            i += 1;
-        }
-        emit_bench_json(samples);
-        return;
-    }
     for a in &args {
         if a.starts_with('-') {
             usage_exit(&format!("unknown flag {a:?}"));
@@ -147,8 +110,8 @@ fn main() {
     if pick("termination") {
         exp_termination();
     }
-    if pick("perf") {
-        exp_perf();
+    if pick("aggregates") {
+        exp_aggregates();
     }
 }
 
@@ -236,8 +199,8 @@ fn trial_monotonicity(
             .map(|v| d.join(v, &random_value(domain, rng)))
             .collect();
         let (Some(fb), Some(fr)) = (
-            maglog_engine::aggregate::apply(func, &base),
-            maglog_engine::aggregate::apply(func, &raised),
+            apply(func, &base),
+            apply(func, &raised),
         ) else {
             continue; // empty avg etc.
         };
@@ -251,8 +214,8 @@ fn trial_monotonicity(
             grown.push(random_value(domain, rng));
         }
         if let (Some(fr2), Some(fg)) = (
-            maglog_engine::aggregate::apply(func, &raised),
-            maglog_engine::aggregate::apply(func, &grown),
+            apply(func, &raised),
+            apply(func, &grown),
         ) {
             if !range.leq(&fr2, &fg) && mono {
                 mono = false;
@@ -527,17 +490,14 @@ fn exp_circuit() {
 fn exp_halfsum() {
     println!("== E7 (Example 5.1): halfsum — T_P monotone, not continuous ==");
     let p = program(programs::HALFSUM);
-    let (model, secs) = timed(|| run_seminaive(&p, &Edb::new()));
+    let model = run_seminaive(&p, &Edb::new());
     let rounds: usize = model.stats().rounds.iter().sum();
     println!(
         "least model: p(a) = {}, p(b) = {}",
         model.cost_of(&p, "p", &["a"]).unwrap(),
         model.cost_of(&p, "p", &["b"]).unwrap()
     );
-    println!(
-        "rounds to the ω-limit: {rounds} (IEEE-754 halving bottoms out exactly) in {}\n",
-        fmt_secs(secs)
-    );
+    println!("rounds to the ω-limit: {rounds} (IEEE-754 halving bottoms out exactly)\n");
     assert_eq!(model.cost_of(&p, "p", &["a"]).unwrap().as_f64(), Some(1.0));
 }
 
@@ -793,145 +753,44 @@ fn truncate(s: &str, n: usize) -> String {
     }
 }
 
-// ---------------------------------------------------------------- perf
+// ---------------------------------------------------------------- P6
 
-fn exp_perf() {
-    println!("== P1–P5 (compact): wall-clock comparison ==");
-    println!("(full statistical benchmarks: cargo bench -p maglog-bench)\n");
-
-    // P1: shortest path scaling.
-    let p = program(programs::SHORTEST_PATH);
-    println!(
-        "{:<22} {:>8} {:>12} {:>12} {:>12} {:>12} {:>12}",
-        "shortest path", "arcs", "semi-naive", "naive", "greedy", "Dijkstra", "GGZ+WFS"
-    );
-    for n in [16usize, 32, 64] {
-        let g = random_digraph(n, 3.0, (1.0, 9.0), 77 + n as u64);
-        let edb = g.to_edb(&p);
-        let (_, semi) = timed(|| run_seminaive(&p, &edb));
-        let (_, naive) = timed(|| run_naive(&p, &edb));
-        let (_, greedy) = timed(|| run_greedy(&p, &edb));
-        let (_, dij) = timed(|| all_pairs_dijkstra(g.n, &g.arcs));
-        let (ggz_out, ggz_t) = timed(|| evaluate_ggz(&p, &edb, 400).unwrap());
-        let ggz_cell = match ggz_out {
-            GgzOutcome::Model(_) => fmt_secs(ggz_t),
-            GgzOutcome::Diverged(_) => format!("diverged ({})", fmt_secs(ggz_t)),
-        };
-        println!(
-            "{:<22} {:>8} {:>12} {:>12} {:>12} {:>12} {:>12}",
-            format!("  n={n}"),
-            g.arcs.len(),
-            fmt_secs(semi),
-            fmt_secs(naive),
-            fmt_secs(greedy),
-            fmt_secs(dij),
-            ggz_cell
-        );
+/// P6: `apply` over multisets of growing size, and the two multiset-order
+/// decision procedures (the sorted sweep vs. Hopcroft–Karp matching).
+fn exp_aggregates() {
+    const SAMPLES: usize = 30;
+    println!("== P6: aggregate microbenchmarks (median of {SAMPLES} samples) ==");
+    let row = |group: &str, name: &str, size: usize, median: f64| {
+        println!("{group:<16} {name:<14} {size:>6} {:>12}", fmt_secs(median));
+    };
+    println!("{:<16} {:<14} {:>6} {:>12}", "group", "function", "size", "median");
+    let mut rng = StdRng::seed_from_u64(42);
+    for size in [16usize, 256, 4096] {
+        let nums: Vec<Value> = (0..size)
+            .map(|_| Value::num(rng.gen_range(0..1000) as f64 / 4.0))
+            .collect();
+        let bools: Vec<Value> = (0..size).map(|_| Value::Bool(rng.gen())).collect();
+        for (func, input) in [
+            (AggFunc::Min, &nums),
+            (AggFunc::Sum, &nums),
+            (AggFunc::Avg, &nums),
+            (AggFunc::Count, &nums),
+            (AggFunc::And, &bools),
+        ] {
+            let stats = time_samples(SAMPLES, || apply(func, input).unwrap());
+            row("apply", func.name(), size, stats.median);
+        }
     }
-
-    // P2: company control scaling.
-    let cc = program(programs::COMPANY_CONTROL);
-    println!(
-        "\n{:<22} {:>8} {:>12} {:>12} {:>12}",
-        "company control", "shares", "semi-naive", "naive", "direct"
-    );
-    for n in [16usize, 32, 64] {
-        let inst = random_ownership(n, 4, 0.5, 0.3, 99 + n as u64);
-        let edb = inst.to_edb(&cc);
-        let (_, semi) = timed(|| run_seminaive(&cc, &edb));
-        let (_, naive) = timed(|| run_naive(&cc, &edb));
-        let (_, direct) = timed(|| company_control(inst.n, &inst.shares));
-        println!(
-            "{:<22} {:>8} {:>12} {:>12} {:>12}",
-            format!("  n={n}"),
-            inst.shares.len(),
-            fmt_secs(semi),
-            fmt_secs(naive),
-            fmt_secs(direct)
-        );
-    }
-
-    // P3: circuit scaling.
-    let cp = program(programs::CIRCUIT);
-    println!(
-        "\n{:<22} {:>8} {:>12} {:>12} {:>12}",
-        "circuit", "gates", "semi-naive", "naive", "direct"
-    );
-    for gates in [64usize, 256, 1024] {
-        let inst = random_circuit(16, gates, 2, 0.3, 7 + gates as u64);
-        let edb = inst.to_edb(&cp);
-        let (_, semi) = timed(|| run_seminaive(&cp, &edb));
-        let (_, naive) = timed(|| run_naive(&cp, &edb));
-        let circuit = inst.to_circuit();
-        let (_, direct) = timed(|| eval_circuit_minimal(&circuit));
-        println!(
-            "{:<22} {:>8} {:>12} {:>12} {:>12}",
-            format!("  gates={gates}"),
-            gates,
-            fmt_secs(semi),
-            fmt_secs(naive),
-            fmt_secs(direct)
-        );
-    }
-
-    // P4: party scaling.
-    let pp = program(programs::PARTY);
-    println!(
-        "\n{:<22} {:>8} {:>12} {:>12} {:>12}",
-        "party", "guests", "semi-naive", "naive", "direct"
-    );
-    for n in [64usize, 256, 1024] {
-        let inst = random_party(n, 6.0, 0.15, 13 + n as u64);
-        let edb = inst.to_edb(&pp);
-        let (_, semi) = timed(|| run_seminaive(&pp, &edb));
-        let (_, naive) = timed(|| run_naive(&pp, &edb));
-        let (_, direct) = timed(|| party_attendance(&inst.knows, &inst.requires));
-        println!(
-            "{:<22} {:>8} {:>12} {:>12} {:>12}",
-            format!("  n={n}"),
-            n,
-            fmt_secs(semi),
-            fmt_secs(naive),
-            fmt_secs(direct)
-        );
+    let mut rng = StdRng::seed_from_u64(43);
+    for size in [16usize, 64, 256] {
+        let base: Multiset<i64> = (0..size).map(|_| rng.gen_range(0..100)).collect();
+        let bigger: Multiset<i64> = base.iter().map(|&v| v + rng.gen_range(0..5i64)).collect();
+        let sweep = time_samples(SAMPLES, || base.leq_total_order(&bigger, |a, b| a <= b));
+        let matching = time_samples(SAMPLES, || base.leq_by_matching(&bigger, |a, b| a <= b));
+        row("multiset_order", "sorted_sweep", size, sweep.median);
+        row("multiset_order", "hopcroft_karp", size, matching.median);
     }
     println!();
-}
-
-// ---------------------------------------------------------------- --json
-/// Run the full benchmark matrix through the v2 harness and write
-/// `BENCH_engine.json` (schema `maglog-bench-v2`) at the repo root.
-fn emit_bench_json(samples: Option<usize>) {
-    let samples = samples
-        .or_else(|| {
-            std::env::var("MAGLOG_BENCH_JSON_SAMPLES")
-                .ok()
-                .and_then(|v| v.parse().ok())
-        })
-        .unwrap_or(3)
-        .max(1);
-    // Matches the committed document's provenance: CI asserts the
-    // baseline was measured under --optimize=prem, and the scaling
-    // section comes from MAGLOG_BENCH_JSON_PARALLEL workers (default 4,
-    // the curve BENCH_engine.json records; set 1 for a sequential doc).
-    let workers = std::env::var("MAGLOG_BENCH_JSON_PARALLEL")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .filter(|&n: &usize| n >= 1)
-        .unwrap_or(4);
-    let cfg = v2::BenchConfig {
-        samples,
-        optimize: maglog_engine::Optimize::parse("prem").expect("prem is a known rewrite"),
-        workers,
-        scaling: v2::scaling_curve(workers),
-        ..Default::default()
-    };
-    let measurements =
-        v2::run_config(&cfg, |line| println!("{line}")).expect("default config always plans");
-    let doc = v2::render_v2(&v2::environment(&cfg), &measurements);
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_engine.json");
-    std::fs::write(path, doc).expect("write BENCH_engine.json");
-    println!("wrote {path}");
 }
 
 fn yes(b: bool) -> &'static str {

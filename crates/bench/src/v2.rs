@@ -1,5 +1,6 @@
 //! The `maglog bench` harness: statistically sound measurement with
-//! regression gating (the `maglog-bench-v2` schema).
+//! regression gating (the `maglog-bench-v2` schema). It is the one place
+//! in the workspace that times workloads.
 //!
 //! Each (workload, size, strategy) cell is measured as: `warmup` untimed
 //! runs (the last one doubles as the peak-heap run, bracketed by
@@ -8,27 +9,33 @@
 //! deviation — robust against scheduler noise, unlike mean/stddev), then
 //! one untimed instrumented run for the work counters (firings,
 //! derivations). Throughput is tuples-per-second and
-//! derivations-per-second at the median.
+//! derivations-per-second at the median. Each (workload, size) cell also
+//! times its `reference`: the direct algorithm from `maglog-baselines`
+//! that answers the same question on the same instance, through the same
+//! sample loop.
 //!
-//! The regression gate compares current medians against a committed
-//! baseline document — either `maglog-bench-v2` or the legacy
-//! `maglog-bench-v1` (whose single `seconds.<strategy>` figure is read as
-//! the median) — and flags every cell whose ratio exceeds the threshold.
+//! The regression gate diffs a committed `maglog-bench-v2` baseline
+//! against the current run with [`maglog_engine::diff_texts`] and flags
+//! every strategy cell whose median regressed past the threshold.
 
-use std::collections::BTreeMap;
+use std::time::Instant;
 
+use maglog_baselines::direct::{
+    all_pairs_dijkstra, company_control, eval_circuit_minimal, party_attendance,
+};
 use maglog_datalog::Program;
-use maglog_engine::jsonish::{self, JsonValue};
 use maglog_engine::trace::MAIN_LANE;
+use maglog_engine::jsonish::JsonValue;
 use maglog_engine::{
-    alloc, fmt_bytes, Edb, EvalOptions, Fanout, HistogramSink, MetricsSink, Model,
-    MonotonicEngine, Optimize, ProfileReport, Registry, SpanSink, Strategy, Tracer,
+    alloc, diff_texts, fmt_bytes, DiffEntry, Edb, EvalOptions, Fanout, HistogramSink,
+    MetricsSink, Model, MonotonicEngine, Optimize, ProfileReport, Registry, SpanSink, Strategy,
+    Tracer,
 };
 use maglog_workloads::{
     programs, random_circuit, random_digraph, random_ownership, random_party,
 };
 
-use crate::{fmt_secs, profile_run, program, timed};
+use crate::{fmt_secs, program};
 
 /// Strategy labels in measurement order (also the JSON field order).
 pub const STRATEGIES: [&str; 3] = ["seminaive", "naive", "greedy"];
@@ -36,44 +43,84 @@ pub const STRATEGIES: [&str; 3] = ["seminaive", "naive", "greedy"];
 // ---------------------------------------------------------------- registry
 
 /// One benchmarkable workload: a paper program plus a seeded instance
-/// generator, sized by the same parameters `experiments --json` has
-/// always used, so numbers stay comparable across schema versions.
+/// generator. The sizes and seeds have stayed the same since the first
+/// bench schema, so numbers stay comparable across versions.
 pub struct Workload {
     pub name: &'static str,
     pub sizes: &'static [usize],
-    builder: fn(usize) -> (Program, Edb),
+    builder: fn(usize) -> Instance,
 }
 
 impl Workload {
-    /// Build the (program, instance) pair for `size`. Deterministic: the
-    /// generator seed is a function of the size.
-    pub fn build(&self, size: usize) -> (Program, Edb) {
+    /// Build the instance for `size`. Deterministic: the generator seed is
+    /// a function of the size.
+    pub fn build(&self, size: usize) -> Instance {
         (self.builder)(size)
     }
 }
 
-fn build_shortest_path(n: usize) -> (Program, Edb) {
+/// A workload instance: the program, its EDB, and the direct algorithm
+/// that computes the same answer without the engine.
+pub struct Instance {
+    pub program: Program,
+    pub edb: Edb,
+    /// Name of the direct algorithm in `maglog_baselines::direct`.
+    pub reference: &'static str,
+    solve: Box<dyn Fn()>,
+}
+
+impl Instance {
+    fn new<T>(
+        program: Program,
+        edb: Edb,
+        reference: &'static str,
+        solve: impl Fn() -> T + 'static,
+    ) -> Instance {
+        Instance {
+            program,
+            edb,
+            reference,
+            solve: Box::new(move || drop(std::hint::black_box(solve()))),
+        }
+    }
+}
+
+fn build_shortest_path(n: usize) -> Instance {
     let p = program(programs::SHORTEST_PATH);
-    let edb = random_digraph(n, 3.0, (1.0, 9.0), 77 + n as u64).to_edb(&p);
-    (p, edb)
+    let g = random_digraph(n, 3.0, (1.0, 9.0), 77 + n as u64);
+    let edb = g.to_edb(&p);
+    Instance::new(p, edb, "all_pairs_dijkstra", move || {
+        all_pairs_dijkstra(g.n, &g.arcs)
+    })
 }
 
-fn build_company_control(n: usize) -> (Program, Edb) {
+fn build_company_control(n: usize) -> Instance {
     let p = program(programs::COMPANY_CONTROL);
-    let edb = random_ownership(n, 4, 0.5, 0.3, 99 + n as u64).to_edb(&p);
-    (p, edb)
+    let inst = random_ownership(n, 4, 0.5, 0.3, 99 + n as u64);
+    let edb = inst.to_edb(&p);
+    Instance::new(p, edb, "company_control", move || {
+        company_control(inst.n, &inst.shares)
+    })
 }
 
-fn build_circuit(gates: usize) -> (Program, Edb) {
+fn build_circuit(gates: usize) -> Instance {
     let p = program(programs::CIRCUIT);
-    let edb = random_circuit(16, gates, 2, 0.3, 7 + gates as u64).to_edb(&p);
-    (p, edb)
+    let inst = random_circuit(16, gates, 2, 0.3, 7 + gates as u64);
+    let edb = inst.to_edb(&p);
+    // The gate-list conversion is setup, not part of the timed solve.
+    let circuit = inst.to_circuit();
+    Instance::new(p, edb, "eval_circuit_minimal", move || {
+        eval_circuit_minimal(&circuit)
+    })
 }
 
-fn build_party(n: usize) -> (Program, Edb) {
+fn build_party(n: usize) -> Instance {
     let p = program(programs::PARTY);
-    let edb = random_party(n, 6.0, 0.15, 13 + n as u64).to_edb(&p);
-    (p, edb)
+    let inst = random_party(n, 6.0, 0.15, 13 + n as u64);
+    let edb = inst.to_edb(&p);
+    Instance::new(p, edb, "party_attendance", move || {
+        party_attendance(&inst.knows, &inst.requires)
+    })
 }
 
 /// The benchmark matrix, smallest sizes first within each workload.
@@ -120,13 +167,10 @@ pub struct BenchConfig {
     /// extra untimed run, so the win is visible in the document.
     pub optimize: Optimize,
     /// Requested worker count (`maglog bench --parallel[=N]`), recorded as
-    /// `environment.workers`: the top of the scaling curve. Strategy cells
-    /// always time the sequential evaluator; only `scaling` runs sharded.
+    /// `environment.workers`: the top of the scaling curve, which
+    /// [`scaling_curve`] derives from it. Strategy cells always time the
+    /// sequential evaluator; only `scaling` runs sharded.
     pub workers: usize,
-    /// Extra semi-naive worker counts to measure per cell (the scaling
-    /// curve; empty = no scaling section). [`scaling_curve`] builds the
-    /// conventional 1, 2, 4, ..., N ladder.
-    pub scaling: Vec<usize>,
     /// Span tracer attached to each cell's untimed *instrumented* run
     /// (`maglog bench --trace`). Timed samples always run untraced, so
     /// tracing never perturbs the medians; `None` records nothing.
@@ -147,7 +191,6 @@ impl Default for BenchConfig {
             sizes: Vec::new(),
             optimize: Optimize::default(),
             workers: 1,
-            scaling: Vec::new(),
             trace: None,
             metrics: None,
         }
@@ -253,6 +296,22 @@ pub fn sample_stats(samples: &[f64]) -> SampleStats {
         p90: pct(0.90),
         p99: pct(0.99),
     }
+}
+
+/// Time `n` runs of `f` (at least one) and summarize them. Each result is
+/// dropped after its clock stops, so deallocation stays out of the sample.
+/// Every timing in the harness goes through this loop.
+pub fn time_samples<T>(n: usize, mut f: impl FnMut() -> T) -> SampleStats {
+    let samples: Vec<f64> = (0..n.max(1))
+        .map(|_| {
+            let start = Instant::now();
+            let out = f();
+            let secs = start.elapsed().as_secs_f64();
+            drop(std::hint::black_box(out));
+            secs
+        })
+        .collect();
+    sample_stats(&samples)
 }
 
 // ---------------------------------------------------------------- measure
@@ -366,6 +425,14 @@ pub struct ScalingPoint {
     pub speedup: f64,
 }
 
+/// The direct algorithm's timing on a cell's instance.
+#[derive(Clone, Debug)]
+pub struct ReferenceMeasurement {
+    /// The `maglog_baselines::direct` function that was timed.
+    pub name: &'static str,
+    pub stats: SampleStats,
+}
+
 /// One (workload, size) cell: instance shape plus all three strategies.
 #[derive(Clone, Debug)]
 pub struct WorkloadMeasurement {
@@ -376,7 +443,9 @@ pub struct WorkloadMeasurement {
     /// agree tuple-for-tuple before this is recorded).
     pub tuples: usize,
     pub strategies: Vec<StrategyMeasurement>,
-    /// Semi-naive wall clock at each `BenchConfig::scaling` worker count
+    /// The direct algorithm on the same instance, timed like a strategy.
+    pub reference: ReferenceMeasurement,
+    /// Semi-naive wall clock at each [`scaling_curve`] worker count
     /// (empty when the run measured no curve).
     pub scaling: Vec<ScalingPoint>,
 }
@@ -391,25 +460,19 @@ fn measure_strategy(
     size: usize,
 ) -> (Model, StrategyMeasurement) {
     // Strategy cells time one worker; `scaling` holds the sharded timings.
-    let run = |p: &Program, edb: &Edb| run_with(p, edb, strategy, cfg.optimize, 1);
+    let run = || run_with(p, edb, strategy, cfg.optimize, 1);
     for _ in 1..cfg.warmup.max(1) {
-        std::hint::black_box(run(p, edb));
+        std::hint::black_box(run());
     }
     // The final warm-up doubles as the peak-heap run: re-seat the
     // allocator peak at the current live level and read the high-water
     // delta the evaluation adds on top.
     let live_before = alloc::current_bytes();
     alloc::reset_peak();
-    let model = run(p, edb);
+    let model = run();
     let peak_heap_bytes = alloc::peak_bytes().saturating_sub(live_before) as u64;
 
-    let mut samples = Vec::with_capacity(cfg.samples);
-    for _ in 0..cfg.samples.max(1) {
-        let (m, secs) = timed(|| run(p, edb));
-        std::hint::black_box(m);
-        samples.push(secs);
-    }
-    let stats = sample_stats(&samples);
+    let stats = time_samples(cfg.samples, run);
 
     // Untimed instrumented run for the work counters, so the timed
     // samples stay free of sink overhead (the span tracer, when on,
@@ -424,10 +487,9 @@ fn measure_strategy(
         cfg.trace.as_ref().map(|t| (t, span_label.as_str())),
         cfg.metrics.as_ref().map(|reg| (reg, workload, size)),
     );
-    let derivations_unoptimized = cfg
-        .optimize
-        .any()
-        .then(|| profile_run(p, edb, strategy).total_derivations());
+    let derivations_unoptimized = cfg.optimize.any().then(|| {
+        profile_with(p, edb, strategy, Optimize::default(), None, None).total_derivations()
+    });
     let measurement = StrategyMeasurement {
         strategy: label,
         rounds: model.stats().rounds.iter().sum(),
@@ -444,9 +506,11 @@ fn measure_strategy(
 }
 
 /// Measure one (workload, size) cell across all three strategies,
-/// asserting the strategies agree on the model.
+/// asserting the strategies agree on the model, then time the direct
+/// reference algorithm and the scaling curve.
 pub fn run_workload(w: &Workload, size: usize, cfg: &BenchConfig) -> WorkloadMeasurement {
-    let (p, edb) = w.build(size);
+    let inst = w.build(size);
+    let (p, edb) = (&inst.program, &inst.edb);
     let runners: [(&'static str, Strategy); 3] = [
         ("seminaive", Strategy::SemiNaive),
         ("naive", Strategy::Naive),
@@ -455,15 +519,15 @@ pub fn run_workload(w: &Workload, size: usize, cfg: &BenchConfig) -> WorkloadMea
     let mut models = Vec::new();
     let mut strategies = Vec::new();
     for (label, strategy) in runners {
-        let (model, m) = measure_strategy(label, strategy, &p, &edb, cfg, w.name, size);
+        let (model, m) = measure_strategy(label, strategy, p, edb, cfg, w.name, size);
         models.push(model);
         strategies.push(m);
     }
-    let reference = models[0].render(&p);
+    let expected = models[0].render(p);
     for (i, model) in models.iter().enumerate().skip(1) {
         assert_eq!(
-            reference,
-            model.render(&p),
+            expected,
+            model.render(p),
             "{} and seminaive disagree on {}/{size}",
             STRATEGIES[i],
             w.name
@@ -476,29 +540,28 @@ pub fn run_workload(w: &Workload, size: usize, cfg: &BenchConfig) -> WorkloadMea
             s.derivations_per_sec = s.derivations as f64 / s.stats.median;
         }
     }
-    // The scaling curve: the semi-naive fixpoint re-timed at each
-    // requested worker count, each point's model checked against the
-    // sequential reference (determinism is part of what's measured).
+    for _ in 0..cfg.warmup.max(1) {
+        (inst.solve)();
+    }
+    let direct = ReferenceMeasurement {
+        name: inst.reference,
+        stats: time_samples(cfg.samples, || (inst.solve)()),
+    };
+    // The scaling curve: the semi-naive fixpoint re-timed at each worker
+    // count, each point's warm-up model checked against the sequential
+    // model (determinism is part of what's measured).
     let mut scaling = Vec::new();
-    for &workers in &cfg.scaling {
-        let run = || run_with(&p, &edb, Strategy::SemiNaive, cfg.optimize, workers);
-        std::hint::black_box(run()); // warm the point (thread pool, caches)
-        let mut samples = Vec::with_capacity(cfg.samples);
-        let mut model = None;
-        for _ in 0..cfg.samples.max(1) {
-            let (m, secs) = timed(run);
-            model = Some(m);
-            samples.push(secs);
-        }
+    for workers in scaling_curve(cfg.workers) {
+        let run = || run_with(p, edb, Strategy::SemiNaive, cfg.optimize, workers);
         assert_eq!(
-            reference,
-            model.expect("at least one sample").render(&p),
+            expected,
+            run().render(p),
             "{workers}-worker seminaive disagrees on {}/{size}",
             w.name
         );
         scaling.push(ScalingPoint {
             workers,
-            stats: sample_stats(&samples),
+            stats: time_samples(cfg.samples, run),
             speedup: 0.0, // filled against the first point below
         });
     }
@@ -517,6 +580,7 @@ pub fn run_workload(w: &Workload, size: usize, cfg: &BenchConfig) -> WorkloadMea
         edb_facts: edb.len(),
         tuples,
         strategies,
+        reference: direct,
         scaling,
     }
 }
@@ -675,6 +739,15 @@ pub fn render_v2(env: &BenchEnv, measurements: &[WorkloadMeasurement]) -> String
                 ("edb_facts".into(), JsonValue::int(m.edb_facts as u64)),
                 ("tuples".into(), JsonValue::int(m.tuples as u64)),
                 ("strategies".into(), JsonValue::Obj(strategies)),
+                (
+                    "reference".into(),
+                    JsonValue::Obj(vec![
+                        ("name".into(), JsonValue::str(m.reference.name)),
+                        ("median_secs".into(), JsonValue::Num(m.reference.stats.median)),
+                        ("min_secs".into(), JsonValue::Num(m.reference.stats.min)),
+                        ("mad_secs".into(), JsonValue::Num(m.reference.stats.mad)),
+                    ]),
+                ),
             ];
             if !m.scaling.is_empty() {
                 fields.push((
@@ -759,6 +832,16 @@ pub fn render_human(env: &BenchEnv, measurements: &[WorkloadMeasurement]) -> Str
                 },
             ));
         }
+        let r = &m.reference.stats;
+        out.push_str(&format!(
+            "{:<18} {:>5} reference  {} {} (min {}, ±{})\n",
+            m.workload,
+            m.size,
+            m.reference.name,
+            fmt_secs(r.median),
+            fmt_secs(r.min),
+            fmt_secs(r.mad)
+        ));
         if !m.scaling.is_empty() {
             let points: Vec<String> = m
                 .scaling
@@ -783,282 +866,131 @@ pub fn render_human(env: &BenchEnv, measurements: &[WorkloadMeasurement]) -> Str
     out
 }
 
-// ---------------------------------------------------------------- baseline
-
-/// One baseline cell: the gated median plus whatever attribution figures
-/// the baseline document carried. v1 documents only have a timing figure
-/// (and round counts); v2 documents carry the full work-counter set, so a
-/// gate failure against them can say *which* counters moved.
-#[derive(Clone, Debug, Default)]
-pub struct BaselineCell {
-    pub median_secs: f64,
-    pub mad_secs: Option<f64>,
-    pub rounds: Option<u64>,
-    pub firings: Option<u64>,
-    pub derivations: Option<u64>,
-    pub pruned: Option<u64>,
-    pub peak_heap_bytes: Option<u64>,
-}
-
-/// Per-(workload, size, strategy) baseline figures read from a committed
-/// document.
-#[derive(Clone, Debug)]
-pub struct Baseline {
-    pub schema: String,
-    pub cells: BTreeMap<(String, usize, String), BaselineCell>,
-}
-
-fn workload_key(w: &JsonValue) -> Result<(String, usize), String> {
-    let name = w
-        .get("workload")
-        .and_then(|v| v.as_str())
-        .ok_or("workload entry missing \"workload\"")?
-        .to_string();
-    let size = w
-        .get("size")
-        .and_then(|v| v.as_f64())
-        .ok_or_else(|| format!("workload {name:?} missing \"size\""))? as usize;
-    Ok((name, size))
-}
-
-/// Parse a baseline document in either schema. v1's min-of-samples
-/// `seconds.<strategy>` figure stands in for the median.
-pub fn parse_baseline(text: &str) -> Result<Baseline, String> {
-    let doc = jsonish::parse(text)?;
-    let schema = doc
-        .get("schema")
-        .and_then(|v| v.as_str())
-        .ok_or("baseline missing \"schema\"")?
-        .to_string();
-    let workloads = doc
-        .get("workloads")
-        .and_then(|v| v.as_arr())
-        .ok_or("baseline missing \"workloads\" array")?;
-    let mut cells = BTreeMap::new();
-    let counter = |s: &JsonValue, key: &str| s.get(key).and_then(|v| v.as_f64()).map(|x| x as u64);
-    match schema.as_str() {
-        "maglog-bench-v1" => {
-            for w in workloads {
-                let (name, size) = workload_key(w)?;
-                let seconds = w
-                    .get("seconds")
-                    .ok_or_else(|| format!("workload {name:?} missing \"seconds\""))?;
-                for strat in STRATEGIES {
-                    if let Some(x) = seconds.get(strat).and_then(|v| v.as_f64()) {
-                        let rounds = w
-                            .get("rounds")
-                            .and_then(|r| r.get(strat))
-                            .and_then(|v| v.as_f64())
-                            .map(|x| x as u64);
-                        cells.insert(
-                            (name.clone(), size, strat.to_string()),
-                            BaselineCell {
-                                median_secs: x,
-                                rounds,
-                                ..BaselineCell::default()
-                            },
-                        );
-                    }
-                }
-            }
-        }
-        "maglog-bench-v2" => {
-            for w in workloads {
-                let (name, size) = workload_key(w)?;
-                let strategies = w
-                    .get("strategies")
-                    .ok_or_else(|| format!("workload {name:?} missing \"strategies\""))?;
-                for strat in STRATEGIES {
-                    let Some(s) = strategies.get(strat) else { continue };
-                    let Some(x) = s.get("median_secs").and_then(|v| v.as_f64()) else {
-                        continue;
-                    };
-                    cells.insert(
-                        (name.clone(), size, strat.to_string()),
-                        BaselineCell {
-                            median_secs: x,
-                            mad_secs: s.get("mad_secs").and_then(|v| v.as_f64()),
-                            rounds: counter(s, "rounds"),
-                            firings: counter(s, "firings"),
-                            derivations: counter(s, "derivations"),
-                            pruned: counter(s, "pruned"),
-                            peak_heap_bytes: counter(s, "peak_heap_bytes"),
-                        },
-                    );
-                }
-            }
-        }
-        other => return Err(format!("unsupported baseline schema {other:?}")),
-    }
-    Ok(Baseline { schema, cells })
-}
-
 // ---------------------------------------------------------------- gate
 
-/// A work counter that moved between the baseline and the current run —
-/// the attribution a bare timing ratio lacks.
-#[derive(Clone, Debug)]
-pub struct CounterDelta {
-    pub name: &'static str,
-    pub baseline: u64,
-    pub current: u64,
-}
-
-/// One cell whose current median exceeds the gated baseline.
-#[derive(Clone, Debug)]
-pub struct Regression {
-    pub workload: String,
-    pub size: usize,
-    pub strategy: String,
-    pub baseline_secs: f64,
-    pub current_secs: f64,
-    pub ratio: f64,
-    /// Counters that moved against the baseline (empty when none did, or
-    /// when the baseline carries no counters).
-    pub counters: Vec<CounterDelta>,
-    /// Whether the baseline carried any counters to compare at all — a
-    /// v1 timing-only baseline can't distinguish "more work" from
-    /// "same work, slower".
-    pub counters_available: bool,
-}
+/// The work counters a gate failure reports when diff finds them moved:
+/// the attribution a bare timing ratio lacks. `peak_heap_bytes` moves
+/// only beyond diff's allocator noise floor.
+const COUNTERS: [&str; 5] = ["rounds", "firings", "derivations", "pruned", "peak_heap_bytes"];
 
 /// The gate verdict over a whole run.
 #[derive(Clone, Debug)]
-pub struct GateOutcome {
-    /// Cells present in both the run and the baseline.
+pub struct GateVerdict {
+    pub threshold: f64,
+    /// Strategy cells present in both the run and the baseline.
     pub compared: usize,
-    /// Measured cells the baseline has no figure for (never a failure —
-    /// new workloads must be able to land before their baseline does).
+    /// Measured strategy cells the baseline has no median for (never a
+    /// failure: new workloads must be able to land before their baseline).
     pub missing: usize,
-    pub regressions: Vec<Regression>,
+    /// Each failing cell's `median_secs` delta, with the counters that
+    /// moved on the same cell in [`COUNTERS`] order.
+    pub failures: Vec<(DiffEntry, Vec<DiffEntry>)>,
 }
 
-impl GateOutcome {
+impl GateVerdict {
     pub fn passed(&self) -> bool {
-        self.regressions.is_empty()
+        self.failures.is_empty()
     }
-}
 
-/// Compare current medians against the baseline: a cell regresses when
-/// `current > baseline * threshold`.
-pub fn gate(
-    measurements: &[WorkloadMeasurement],
-    baseline: &Baseline,
-    threshold: f64,
-) -> GateOutcome {
-    let mut outcome = GateOutcome {
-        compared: 0,
-        missing: 0,
-        regressions: Vec::new(),
-    };
-    for m in measurements {
-        for s in &m.strategies {
-            let key = (m.workload.clone(), m.size, s.strategy.to_string());
-            match baseline.cells.get(&key) {
-                Some(cell) if cell.median_secs > 0.0 => {
-                    outcome.compared += 1;
-                    let ratio = s.stats.median / cell.median_secs;
-                    if ratio > threshold {
-                        outcome.regressions.push(Regression {
-                            workload: m.workload.clone(),
-                            size: m.size,
-                            strategy: s.strategy.to_string(),
-                            baseline_secs: cell.median_secs,
-                            current_secs: s.stats.median,
-                            ratio,
-                            counters: counter_deltas(cell, s),
-                            counters_available: cell.firings.is_some()
-                                || cell.derivations.is_some()
-                                || cell.rounds.is_some()
-                                || cell.pruned.is_some()
-                                || cell.peak_heap_bytes.is_some(),
-                        });
-                    }
-                }
-                _ => outcome.missing += 1,
-            }
+    /// Render the verdict for the terminal.
+    pub fn render(&self) -> String {
+        let threshold = self.threshold;
+        let mut out = format!(
+            "gate: compared {} cells against baseline (threshold {threshold}x)",
+            self.compared
+        );
+        if self.missing > 0 {
+            out.push_str(&format!(", {} cells missing from baseline", self.missing));
         }
-    }
-    outcome
-}
-
-/// The baseline counters the current measurement disagrees with.
-fn counter_deltas(cell: &BaselineCell, s: &StrategyMeasurement) -> Vec<CounterDelta> {
-    let pairs = [
-        ("rounds", cell.rounds, s.rounds as u64),
-        ("firings", cell.firings, s.firings),
-        ("derivations", cell.derivations, s.derivations),
-        ("pruned", cell.pruned, s.pruned),
-        ("peak_heap_bytes", cell.peak_heap_bytes, s.peak_heap_bytes),
-    ];
-    pairs
-        .into_iter()
-        .filter_map(|(name, base, current)| {
-            base.filter(|&b| b != current).map(|baseline| CounterDelta {
-                name,
-                baseline,
-                current,
-            })
-        })
-        .collect()
-}
-
-/// Render the gate verdict for the terminal.
-pub fn render_gate(outcome: &GateOutcome, threshold: f64) -> String {
-    let mut out = format!(
-        "gate: compared {} cells against baseline (threshold {threshold}x)",
-        outcome.compared
-    );
-    if outcome.missing > 0 {
-        out.push_str(&format!(", {} cells missing from baseline", outcome.missing));
-    }
-    out.push('\n');
-    for r in &outcome.regressions {
-        out.push_str(&format!(
-            "REGRESSION {}/{} {}: {} vs {} baseline ({:.2}x > {threshold}x)\n",
-            r.workload,
-            r.size,
-            r.strategy,
-            fmt_secs(r.current_secs),
-            fmt_secs(r.baseline_secs),
-            r.ratio
-        ));
-        if !r.counters.is_empty() {
-            let deltas: Vec<String> = r
-                .counters
+        out.push('\n');
+        for (median, counters) in &self.failures {
+            out.push_str(&format!(
+                "REGRESSION {}: {} vs {} baseline ({:.2}x > {threshold}x)\n",
+                median.path,
+                fmt_secs(median.after),
+                fmt_secs(median.before),
+                median.after / median.before
+            ));
+            if counters.is_empty() {
+                out.push_str("  counters unchanged: same work, slower — timing-only regression\n");
+                continue;
+            }
+            let deltas: Vec<String> = counters
                 .iter()
                 .map(|c| {
-                    let (b, cur) = if c.name == "peak_heap_bytes" {
-                        (fmt_bytes(c.baseline), fmt_bytes(c.current))
+                    let (b, a) = (c.before as u64, c.after as u64);
+                    let (b_text, a_text) = if c.metric == "peak_heap_bytes" {
+                        (fmt_bytes(b), fmt_bytes(a))
                     } else {
-                        (c.baseline.to_string(), c.current.to_string())
+                        (b.to_string(), a.to_string())
                     };
-                    if c.baseline > 0 {
-                        format!(
-                            "{} {b} -> {cur} ({:.2}x)",
-                            c.name,
-                            c.current as f64 / c.baseline as f64
-                        )
+                    if b > 0 {
+                        format!("{} {b_text} -> {a_text} ({:.2}x)", c.metric, a as f64 / b as f64)
                     } else {
-                        format!("{} {b} -> {cur}", c.name)
+                        format!("{} {b_text} -> {a_text}", c.metric)
                     }
                 })
                 .collect();
             out.push_str(&format!("  counters: {}\n", deltas.join(", ")));
-        } else if r.counters_available {
-            out.push_str("  counters unchanged: same work, slower — timing-only regression\n");
+        }
+        let n = self.failures.len();
+        if n == 0 {
+            out.push_str("gate: OK\n");
+        } else {
+            out.push_str(&format!(
+                "gate: FAIL ({n} regression{})\n",
+                if n == 1 { "" } else { "s" }
+            ));
+        }
+        out
+    }
+}
+
+/// Gate the run against a baseline `maglog-bench-v2` document: diff the
+/// baseline against the run's own document, and fail every strategy cell
+/// whose `median_secs` diff lists as a regression by more than
+/// `threshold` (a delta inside diff's MAD noise budget never fails).
+pub fn gate(
+    baseline: &str,
+    env: &BenchEnv,
+    measurements: &[WorkloadMeasurement],
+    threshold: f64,
+) -> Result<GateVerdict, String> {
+    let report = diff_texts(baseline, &render_v2(env, measurements))?;
+    let moved = |path: &str, metric: &str| {
+        report
+            .regressions
+            .iter()
+            .chain(&report.improvements)
+            .find(|e| e.path == path && e.metric == metric)
+            .cloned()
+    };
+    let mut verdict = GateVerdict {
+        threshold,
+        compared: 0,
+        missing: 0,
+        failures: Vec::new(),
+    };
+    for m in measurements {
+        let cell = format!("{}/{}", m.workload, m.size);
+        for s in &m.strategies {
+            let path = format!("{cell} {}", s.strategy);
+            let absent = [format!("cell {cell}"), path.clone(), format!("{path} median_secs")];
+            if report.only_after.iter().any(|e| absent.contains(e)) {
+                verdict.missing += 1;
+                continue;
+            }
+            verdict.compared += 1;
+            let failed = report.regressions.iter().find(|e| {
+                e.path == path && e.metric == "median_secs" && e.severity() > threshold
+            });
+            if let Some(median) = failed {
+                let counters = COUNTERS.iter().filter_map(|c| moved(&path, c)).collect();
+                verdict.failures.push((median.clone(), counters));
+            }
         }
     }
-    if outcome.passed() {
-        out.push_str("gate: OK\n");
-    } else {
-        out.push_str(&format!(
-            "gate: FAIL ({} regression{})\n",
-            outcome.regressions.len(),
-            if outcome.regressions.len() == 1 { "" } else { "s" }
-        ));
-    }
-    out
+    Ok(verdict)
 }
 
 #[cfg(test)]
@@ -1148,7 +1080,6 @@ mod tests {
             workloads: vec!["shortest_path".into()],
             sizes: vec![16],
             workers: 2,
-            scaling: scaling_curve(2),
             ..Default::default()
         };
         let m = run_workload(&WORKLOADS[0], 16, &cfg);
@@ -1163,34 +1094,63 @@ mod tests {
         let human = render_human(&env, std::slice::from_ref(&m));
         assert!(human.contains("workers 2"), "{human}");
         assert!(human.contains("scaling"), "{human}");
-        // Baselines still parse documents carrying the scaling section.
-        let base = parse_baseline(&render_v2(&env, &[m])).unwrap();
-        assert_eq!(base.cells.len(), 3);
+        // Documents carrying the scaling section still gate as baselines.
+        let m = [m];
+        let verdict = gate(&render_v2(&env, &m), &env, &m, 1.25).unwrap();
+        assert_eq!(verdict.compared, 3);
     }
 
     #[test]
     fn registry_builds_deterministic_instances() {
         let w = &WORKLOADS[0];
-        let (_, a) = w.build(16);
-        let (_, b) = w.build(16);
-        assert_eq!(a.len(), b.len());
-        assert!(!a.is_empty());
+        let (a, b) = (w.build(16), w.build(16));
+        assert_eq!(a.edb.len(), b.edb.len());
+        assert!(!a.edb.is_empty());
+        assert_eq!(a.reference, "all_pairs_dijkstra");
+    }
+
+    #[test]
+    fn every_cell_times_its_direct_reference() {
+        let cfg = BenchConfig {
+            samples: 2,
+            warmup: 0,
+            ..Default::default()
+        };
+        let names: Vec<(&str, &str)> = WORKLOADS
+            .iter()
+            .map(|w| {
+                let m = run_workload(w, w.sizes[0], &cfg);
+                let r = &m.reference.stats;
+                assert!(0.0 < r.min && r.min <= r.median, "{}: {r:?}", w.name);
+                (w.name, m.reference.name)
+            })
+            .collect();
+        assert_eq!(
+            names,
+            [
+                ("shortest_path", "all_pairs_dijkstra"),
+                ("company_control", "company_control"),
+                ("circuit", "eval_circuit_minimal"),
+                ("party", "party_attendance"),
+            ]
+        );
     }
 
     fn fake_measurement(median: f64) -> WorkloadMeasurement {
+        let stats = SampleStats {
+            median,
+            min: median * 0.9,
+            mad: median * 0.05,
+            p50: median,
+            p90: median * 1.1,
+            p99: median * 1.2,
+        };
         let strat = |name: &'static str| StrategyMeasurement {
             strategy: name,
             rounds: 4,
             firings: 9,
             derivations: 8,
-            stats: SampleStats {
-                median,
-                min: median * 0.9,
-                mad: median * 0.05,
-                p50: median,
-                p90: median * 1.1,
-                p99: median * 1.2,
-            },
+            stats,
             tuples_per_sec: 100.0,
             derivations_per_sec: 80.0,
             peak_heap_bytes: 4096,
@@ -1203,7 +1163,23 @@ mod tests {
             edb_facts: 48,
             tuples: 120,
             strategies: vec![strat("seminaive"), strat("naive"), strat("greedy")],
+            reference: ReferenceMeasurement {
+                name: "all_pairs_dijkstra",
+                stats,
+            },
             scaling: Vec::new(),
+        }
+    }
+
+    fn test_env() -> BenchEnv {
+        BenchEnv {
+            commit: "x".into(),
+            rustc: "r".into(),
+            cpus: 1,
+            warmup: 1,
+            samples: 1,
+            optimize: Vec::new(),
+            workers: 1,
         }
     }
 
@@ -1243,7 +1219,8 @@ mod tests {
                 speedup: 2.5,
             },
         ];
-        let doc = render_v2(&env, &[m]);
+        let m = [m];
+        let doc = render_v2(&env, &m);
         assert!(doc.contains("\"schema\": \"maglog-bench-v2\""));
         assert!(doc.contains("\"median_secs\": 0.0125"));
         assert!(doc.contains("\"p50_secs\": 0.0125"));
@@ -1253,7 +1230,7 @@ mod tests {
         assert!(doc.contains("\"workers\": 4"));
         assert!(doc.contains("\"scaling\""));
         assert!(doc.contains("\"speedup\": 2.5"));
-        let parsed = jsonish::parse(&doc).unwrap();
+        let parsed = maglog_engine::jsonish::parse(&doc).unwrap();
         let opt = parsed.get("environment").unwrap().get("optimize").unwrap();
         let names: Vec<_> = opt
             .as_arr()
@@ -1264,75 +1241,59 @@ mod tests {
         assert_eq!(names, ["prem"]);
         assert!(doc.contains("\"derivations_unoptimized\": 50"));
         assert!(doc.contains("\"pruned\": 42"));
-        let base = parse_baseline(&doc).unwrap();
-        assert_eq!(base.schema, "maglog-bench-v2");
-        let cell = base
-            .cells
-            .get(&("shortest_path".into(), 16, "seminaive".into()))
-            .unwrap();
-        assert_eq!(cell.median_secs, 0.0125);
-        // v2 baselines carry the full attribution counter set.
-        assert_eq!(cell.firings, Some(9));
-        assert_eq!(cell.derivations, Some(8));
-        assert_eq!(cell.rounds, Some(4));
-        assert_eq!(cell.pruned, Some(42));
-        assert_eq!(cell.peak_heap_bytes, Some(4096));
-        assert_eq!(cell.mad_secs, Some(0.0125 * 0.05));
-        assert_eq!(base.cells.len(), 3);
+        // The cell carries the full attribution counter set a baseline
+        // gate reads back.
+        let w = &parsed.get("workloads").unwrap().as_arr().unwrap()[0];
+        let semi = w.get("strategies").unwrap().get("seminaive").unwrap();
+        let num = |key: &str| semi.get(key).and_then(JsonValue::as_f64);
+        assert_eq!(num("median_secs"), Some(0.0125));
+        assert_eq!(num("firings"), Some(9.0));
+        assert_eq!(num("derivations"), Some(8.0));
+        assert_eq!(num("rounds"), Some(4.0));
+        assert_eq!(num("pruned"), Some(42.0));
+        assert_eq!(num("peak_heap_bytes"), Some(4096.0));
+        assert_eq!(num("mad_secs"), Some(0.0125 * 0.05));
+        let reference = w.get("reference").unwrap();
+        assert_eq!(
+            reference.get("name").and_then(JsonValue::as_str),
+            Some("all_pairs_dijkstra")
+        );
+        // The document gates cleanly against itself, cell for cell.
+        let verdict = gate(&doc, &env, &m, 1.25).unwrap();
+        assert_eq!((verdict.compared, verdict.missing), (3, 0));
+        assert!(verdict.passed());
     }
 
     #[test]
-    fn v1_documents_still_read_as_baselines() {
-        let doc = r#"{"schema": "maglog-bench-v1", "commit": "abc1234", "samples": 3, "workloads": [
-  {"workload": "shortest_path", "size": 16, "edb_facts": 48, "tuples": 120,
-   "rounds": {"seminaive": 4, "naive": 4, "greedy": 40},
-   "seconds": {"seminaive": 0.01, "naive": 0.02, "greedy": 0.015}}]}"#;
-        let base = parse_baseline(doc).unwrap();
-        assert_eq!(base.schema, "maglog-bench-v1");
-        let cell = base
-            .cells
-            .get(&("shortest_path".into(), 16, "naive".into()))
-            .unwrap();
-        assert_eq!(cell.median_secs, 0.020);
-        // v1 has rounds but no work counters: attribution degrades.
-        assert_eq!(cell.rounds, Some(4));
-        assert_eq!(cell.firings, None);
-        assert_eq!(base.cells.len(), 3);
-    }
-
-    #[test]
-    fn parse_baseline_rejects_bad_documents() {
-        assert!(parse_baseline("not json").is_err());
-        assert!(parse_baseline("{\"workloads\": []}").is_err());
-        assert!(parse_baseline("{\"schema\": \"maglog-bench-v9\", \"workloads\": []}").is_err());
+    fn gate_rejects_bad_baselines() {
+        let m = [fake_measurement(0.010)];
+        for bad in [
+            "not json",
+            "{\"workloads\": []}",
+            "{\"schema\": \"maglog-bench-v9\", \"workloads\": []}",
+        ] {
+            assert!(gate(bad, &test_env(), &m, 1.25).is_err(), "{bad}");
+        }
     }
 
     #[test]
     fn gate_flags_only_cells_past_threshold() {
-        let m = fake_measurement(0.010);
-        let env = BenchEnv {
-            commit: "x".into(),
-            rustc: "r".into(),
-            cpus: 1,
-            warmup: 1,
-            samples: 1,
-            optimize: Vec::new(),
-            workers: 1,
-        };
+        let env = test_env();
+        let m = [fake_measurement(0.010)];
         // Baseline identical to the run: within the gate.
-        let base = parse_baseline(&render_v2(&env, std::slice::from_ref(&m))).unwrap();
-        let ok = gate(std::slice::from_ref(&m), &base, 1.25);
+        let ok = gate(&render_v2(&env, &m), &env, &m, 1.25).unwrap();
         assert_eq!(ok.compared, 3);
         assert_eq!(ok.missing, 0);
         assert!(ok.passed());
 
         // Doctored baseline half as slow: every cell regresses.
-        let fast = parse_baseline(&render_v2(&env, &[fake_measurement(0.005)])).unwrap();
-        let fail = gate(std::slice::from_ref(&m), &fast, 1.25);
+        let fast = render_v2(&env, &[fake_measurement(0.005)]);
+        let fail = gate(&fast, &env, &m, 1.25).unwrap();
         assert!(!fail.passed());
-        assert_eq!(fail.regressions.len(), 3);
-        assert!((fail.regressions[0].ratio - 2.0).abs() < 1e-9);
-        let text = render_gate(&fail, 1.25);
+        assert_eq!(fail.failures.len(), 3);
+        let (median, _) = &fail.failures[0];
+        assert!((median.after / median.before - 2.0).abs() < 1e-9);
+        let text = fail.render();
         assert!(text.contains("REGRESSION shortest_path/16 seminaive"));
         assert!(text.contains("gate: FAIL (3 regressions)"));
         // Identical counters on both sides: the attribution line says so
@@ -1350,42 +1311,30 @@ mod tests {
         }
 
         // Cells the baseline lacks are reported, not failed.
-        let empty = Baseline {
-            schema: "maglog-bench-v2".into(),
-            cells: BTreeMap::new(),
-        };
-        let none = gate(&[m], &empty, 1.25);
+        let none = gate(&render_v2(&env, &[]), &env, &m, 1.25).unwrap();
         assert!(none.passed());
         assert_eq!(none.missing, 3);
+        assert!(none.render().contains("3 cells missing from baseline"));
     }
 
     #[test]
     fn gate_attributes_which_counters_moved() {
-        let env = BenchEnv {
-            commit: "x".into(),
-            rustc: "r".into(),
-            cpus: 1,
-            warmup: 1,
-            samples: 1,
-            optimize: Vec::new(),
-            workers: 1,
-        };
+        let env = test_env();
         // The baseline run did less work: fewer firings, smaller heap.
         let mut slow = fake_measurement(0.005);
         for s in &mut slow.strategies {
             s.firings = 5;
             s.peak_heap_bytes = 2048;
         }
-        let base = parse_baseline(&render_v2(&env, &[slow])).unwrap();
-        let m = fake_measurement(0.010);
-        let fail = gate(std::slice::from_ref(&m), &base, 1.25);
-        assert_eq!(fail.regressions.len(), 3);
-        for r in &fail.regressions {
-            assert!(r.counters_available);
-            let names: Vec<&str> = r.counters.iter().map(|c| c.name).collect();
+        let base = render_v2(&env, &[slow]);
+        let m = [fake_measurement(0.010)];
+        let fail = gate(&base, &env, &m, 1.25).unwrap();
+        assert_eq!(fail.failures.len(), 3);
+        for (_, counters) in &fail.failures {
+            let names: Vec<&str> = counters.iter().map(|c| c.metric.as_str()).collect();
             assert_eq!(names, ["firings", "peak_heap_bytes"]);
         }
-        let text = render_gate(&fail, 1.25);
+        let text = fail.render();
         assert!(
             text.contains(
                 "  counters: firings 5 -> 9 (1.80x), \
@@ -1393,32 +1342,13 @@ mod tests {
             ),
             "{text}"
         );
-
-        // A v1 baseline has rounds but no work counters; when rounds
-        // agree the regression reports no counter attribution at all.
-        let v1 = parse_baseline(
-            r#"{"schema": "maglog-bench-v1", "commit": "abc", "samples": 1, "workloads": [
-  {"workload": "shortest_path", "size": 16, "edb_facts": 48, "tuples": 120,
-   "rounds": {"seminaive": 4, "naive": 4, "greedy": 4},
-   "seconds": {"seminaive": 0.005, "naive": 0.005, "greedy": 0.005}}]}"#,
-        )
-        .unwrap();
-        let fail = gate(std::slice::from_ref(&m), &v1, 1.25);
-        assert_eq!(fail.regressions.len(), 3);
-        assert!(fail.regressions.iter().all(|r| r.counters.is_empty()));
-        assert!(fail.regressions.iter().all(|r| r.counters_available));
     }
 
     #[test]
     fn rendered_v2_documents_self_diff_clean() {
         let env = BenchEnv {
-            commit: "x".into(),
-            rustc: "r".into(),
-            cpus: 1,
-            warmup: 1,
             samples: 3,
-            optimize: Vec::new(),
-            workers: 1,
+            ..test_env()
         };
         let mut m = fake_measurement(0.010);
         m.strategies[0].pruned = 7;

@@ -2,9 +2,7 @@
 //! peak-heap column is real (the lib unit tests run without one and see
 //! zeros).
 
-use maglog_bench::v2::{
-    environment, gate, parse_baseline, render_human, render_v2, run_config, BenchConfig,
-};
+use maglog_bench::v2::{environment, gate, render_human, render_v2, run_config, BenchConfig};
 use maglog_engine::jsonish;
 
 #[global_allocator]
@@ -52,23 +50,20 @@ fn harness_measures_and_gates_a_real_run() {
     assert!(parsed.get("environment").and_then(|e| e.get("commit")).is_some());
 
     // ...reads back as a baseline the same run passes against...
-    let baseline = parse_baseline(&doc).unwrap();
-    let outcome = gate(&measurements, &baseline, 1.25);
+    let outcome = gate(&doc, &env, &measurements, 1.25).unwrap();
     assert_eq!(outcome.compared, 3);
     assert!(outcome.passed());
 
     // ...and a doctored much-faster baseline fails the gate — with the
     // attribution machinery seeing identical work counters.
-    let mut fast = parse_baseline(&doc).unwrap();
-    for cell in fast.cells.values_mut() {
-        cell.median_secs /= 1000.0;
+    let mut fast = measurements.clone();
+    for s in &mut fast[0].strategies {
+        s.stats.median /= 1000.0;
     }
-    let failed = gate(&measurements, &fast, 1.25);
+    let failed = gate(&render_v2(&env, &fast), &env, &measurements, 1.25).unwrap();
     assert!(!failed.passed());
-    assert!(failed
-        .regressions
-        .iter()
-        .all(|r| r.counters_available && r.counters.is_empty()));
+    assert_eq!(failed.failures.len(), 3);
+    assert!(failed.failures.iter().all(|(_, counters)| counters.is_empty()));
 
     // The human table renders every strategy row with a real peak column.
     let table = render_human(&env, &measurements);

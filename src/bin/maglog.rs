@@ -72,7 +72,7 @@
 //! --sizes n,m           restrict to these sizes
 //! --format=human|json   table, or the maglog-bench-v2 document on stdout
 //! --out FILE            also write the v2 document to FILE
-//! --baseline FILE       gate medians against a v1/v2 baseline document
+//! --baseline FILE       gate medians against a v2 baseline document
 //! --gate RATIO          regression threshold (default 1.25; needs --baseline)
 //! --parallel[=N]        N-worker evaluation plus a 1,2,4,...,N scaling curve
 //! --trace FILE          trace the per-cell instrumented runs (timed samples
@@ -139,12 +139,13 @@ default strategy to stderr; run --explain <pred> dumps the derivation
 (with aggregate witnesses) of every tuple of <pred>.
 
 bench measures the built-in workload matrix (shortest_path,
-company_control, circuit, party) under all three strategies: median, min,
-and MAD over --samples timed runs, throughput, and peak heap per cell.
---format=json prints the maglog-bench-v2 document; with --baseline the
-run's medians are gated against a committed v1 or v2 document and any
-cell slower than baseline x RATIO (default 1.25) fails the run; the
-failure enumerates every offending cell and which work counters moved.
+company_control, circuit, party) under all three strategies, plus each
+instance's direct algorithm: median, min, and MAD over --samples timed
+runs, throughput, and peak heap per cell. --format=json prints the
+maglog-bench-v2 document; with --baseline the run is diffed against a
+committed v2 document (as by diff) and any cell whose median regressed
+past baseline x RATIO (default 1.25) fails the run; the failure
+enumerates every offending cell and which work counters moved.
 
 diff compares two telemetry captures of the same kind — maglog-profile-v1
 or maglog-bench-v2 JSON, or an OpenMetrics exposition (the kind is
@@ -413,7 +414,6 @@ fn main() -> ExitCode {
             sizes: opts.sizes.clone(),
             optimize: opts.optimize,
             workers: opts.parallel,
-            scaling: v2::scaling_curve(opts.parallel),
             trace: opts.trace.as_ref().map(|_| Tracer::new()),
             metrics: opts.metrics.as_ref().map(|_| Registry::new()),
         };
@@ -742,13 +742,13 @@ fn cmd_bench(cfg: &v2::BenchConfig, opts: &BenchOpts) -> Result<(), String> {
     }
     if let Some(path) = &opts.baseline {
         let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
-        let baseline = v2::parse_baseline(&text).map_err(|e| format!("{path}: {e}"))?;
-        let outcome = v2::gate(&measurements, &baseline, opts.gate);
-        eprint!("{}", v2::render_gate(&outcome, opts.gate));
-        if !outcome.passed() {
+        let verdict = v2::gate(&text, &env, &measurements, opts.gate)
+            .map_err(|e| format!("{path}: {e}"))?;
+        eprint!("{}", verdict.render());
+        if !verdict.passed() {
             return Err(format!(
                 "{} benchmark regression(s) against {path}",
-                outcome.regressions.len()
+                verdict.failures.len()
             ));
         }
     }

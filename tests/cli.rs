@@ -185,8 +185,8 @@ fn bench_rejects_bad_flags_with_exit_2() {
 }
 
 /// One tiny measured cell drives the whole bench pipeline: v2 JSON out,
-/// self-baseline gating (pass), and doctored fast baselines in both
-/// schemas (fail with exit 1).
+/// self-baseline gating (pass), and a doctored fast baseline (fail with
+/// exit 1).
 #[test]
 fn bench_emits_v2_json_and_gates_against_baselines() {
     let dir = std::env::temp_dir().join("maglog_cli_bench_test");
@@ -247,21 +247,6 @@ fn bench_emits_v2_json_and_gates_against_baselines() {
     // Only the medians were doctored, so the attribution line reports a
     // timing-only regression: identical work, slower.
     assert!(err.contains("counters unchanged"), "{err}");
-
-    // The legacy v1 schema still reads as a baseline (its min-of-samples
-    // figure stands in for the median) — same doctored-fast failure.
-    let v1 = dir.join("fast_v1.json");
-    std::fs::write(
-        &v1,
-        r#"{"schema": "maglog-bench-v1", "commit": "x", "samples": 1, "workloads": [
-  {"workload": "shortest_path", "size": 16, "edb_facts": 48, "tuples": 900,
-   "rounds": {"seminaive": 4, "naive": 4, "greedy": 40},
-   "seconds": {"seminaive": 1e-9, "naive": 1e-9, "greedy": 1e-9}}]}"#,
-    )
-    .unwrap();
-    let out = maglog(&[&["bench", "--baseline", v1.to_str().unwrap()], cell].concat());
-    assert_eq!(out.status.code(), Some(1), "{}", stderr(&out));
-    assert!(stderr(&out).contains("gate: FAIL"), "{}", stderr(&out));
 
     // An unreadable or corrupt baseline is a runtime failure, not usage.
     let out = maglog(&[&["bench", "--baseline", "/nonexistent/base.json"], cell].concat());
@@ -1444,6 +1429,69 @@ fn bench_gate_failure_attributes_moved_counters() {
     }
     assert!(err.contains("counters: firings"), "{err}");
     assert!(err.contains(&format!("firings {} -> {firings}", firings / 2)), "{err}");
+}
+
+/// The bench gate is a verdict over `maglog diff`: on the same pair of
+/// documents, `bench --baseline B --gate R` and `diff --gate R B current`
+/// flag the same cells' medians.
+#[test]
+fn bench_gate_and_diff_gate_flag_the_same_cells() {
+    let dir = std::env::temp_dir().join("maglog_cli_gate_vs_diff_test");
+    std::fs::create_dir_all(&dir).unwrap();
+    let baseline = dir.join("base.json");
+    let current = dir.join("current.json");
+    let cell = &[
+        "--samples", "1", "--warmup", "0", "--workloads", "shortest_path", "--sizes", "16",
+    ][..];
+    let out = maglog(
+        &[&["bench", "--format=json", "--out", baseline.to_str().unwrap()], cell].concat(),
+    );
+    assert!(out.status.success(), "{}", stderr(&out));
+
+    // Doctor only the seminaive and greedy medians (the strategies print
+    // in seminaive, naive, greedy order) to near zero.
+    let text = std::fs::read_to_string(&baseline).unwrap();
+    let mut parts: Vec<&str> = text.split("\"median_secs\": 0.").collect();
+    assert!(parts.len() > 3, "{text}");
+    let mut doctored = parts.remove(0).to_string();
+    for (i, rest) in parts.iter().enumerate() {
+        let tiny = if i == 0 || i == 2 { "0.000000000" } else { "0." };
+        doctored.push_str(&format!("\"median_secs\": {tiny}{rest}"));
+    }
+    let doctored_path = dir.join("doctored.json");
+    std::fs::write(&doctored_path, doctored).unwrap();
+    let (b, c) = (doctored_path.to_str().unwrap(), current.to_str().unwrap());
+
+    let out = maglog(&[&["bench", "--baseline", b, "--gate", "1.25", "--out", c], cell].concat());
+    assert_eq!(out.status.code(), Some(1), "{}", stderr(&out));
+    let mut bench_cells: Vec<String> = stderr(&out)
+        .lines()
+        .filter_map(|l| l.strip_prefix("REGRESSION "))
+        .map(|l| l.split(':').next().unwrap().to_string())
+        .collect();
+    bench_cells.sort();
+    for strat in ["seminaive", "greedy"] {
+        assert!(
+            bench_cells.contains(&format!("shortest_path/16 {strat}")),
+            "{bench_cells:?}"
+        );
+    }
+
+    let out = maglog(&["diff", "--gate", "1.25", "--format=json", b, c]);
+    assert_eq!(out.status.code(), Some(1), "{}", stderr(&out));
+    let report = maglog::engine::jsonish::parse(&stdout(&out)).unwrap();
+    let mut diff_cells: Vec<String> = report
+        .get("regressions")
+        .and_then(|r| r.as_arr())
+        .unwrap()
+        .iter()
+        .filter(|e| e.get("metric").and_then(|m| m.as_str()) == Some("median_secs"))
+        // A null severity is a regression from zero: infinite.
+        .filter(|e| e.get("severity").and_then(|v| v.as_f64()).is_none_or(|f| f > 1.25))
+        .map(|e| e.get("path").and_then(|p| p.as_str()).unwrap().to_string())
+        .collect();
+    diff_cells.sort();
+    assert_eq!(bench_cells, diff_cells);
 }
 
 // ---------------------------------------------------------------- trace-flame
