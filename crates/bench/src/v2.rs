@@ -27,9 +27,8 @@ use maglog_datalog::Program;
 use maglog_engine::trace::MAIN_LANE;
 use maglog_engine::jsonish::JsonValue;
 use maglog_engine::{
-    alloc, diff_texts, fmt_bytes, DiffEntry, Edb, EvalOptions, Fanout, HistogramSink,
-    MetricsSink, Model, MonotonicEngine, Optimize, ProfileReport, Registry, SpanSink, Strategy,
-    Tracer,
+    alloc, diff_texts, fmt_bytes, DiffEntry, Edb, EvalOptions, Fanout, MetricSet, MetricsSink,
+    Model, MonotonicEngine, Optimize, ProfileReport, SpanSink, Strategy, Tracer,
 };
 use maglog_workloads::{
     programs, random_circuit, random_digraph, random_ownership, random_party,
@@ -175,11 +174,11 @@ pub struct BenchConfig {
     /// (`maglog bench --trace`). Timed samples always run untraced, so
     /// tracing never perturbs the medians; `None` records nothing.
     pub trace: Option<Tracer>,
-    /// Metrics registry the instrumented runs publish their latency/size
-    /// histograms into (`maglog bench --metrics`), one series set per
-    /// (workload, size, strategy) label combination. Timed samples stay
-    /// uninstrumented, like `trace`; `None` records nothing.
-    pub metrics: Option<Registry>,
+    /// Export the instrumented runs' latency/size histograms
+    /// (`maglog bench --metrics`) into [`WorkloadMeasurement::metrics`],
+    /// one series set per (workload, size, strategy) label combination.
+    /// Timed samples stay uninstrumented, like `trace`.
+    pub metrics: bool,
 }
 
 impl Default for BenchConfig {
@@ -192,7 +191,7 @@ impl Default for BenchConfig {
             optimize: Optimize::default(),
             workers: 1,
             trace: None,
-            metrics: None,
+            metrics: false,
         }
     }
 }
@@ -363,15 +362,16 @@ fn run_with(
     .expect("evaluation succeeds")
 }
 
+/// One untimed instrumented run: the profile report, plus the cell's
+/// OpenMetrics series when `cell` names its (workload, size) labels.
 fn profile_with(
     p: &Program,
     edb: &Edb,
     strategy: Strategy,
     optimize: Optimize,
     trace: Option<(&Tracer, &str)>,
-    // Registry plus the (workload, size) labels for this cell's series.
-    metrics: Option<(&Registry, &str, usize)>,
-) -> ProfileReport {
+    cell: Option<(&str, usize)>,
+) -> (ProfileReport, MetricSet) {
     let engine = MonotonicEngine::with_options(
         p,
         EvalOptions {
@@ -380,23 +380,9 @@ fn profile_with(
             ..Default::default()
         },
     );
-    let hist = metrics.map(|(reg, workload, size)| {
-        HistogramSink::new(
-            p,
-            &[
-                ("workload", workload),
-                ("size", &size.to_string()),
-                ("strategy", strategy.name()),
-            ],
-        )
-        .publish_to(reg.clone())
-    });
     let mut sink = Fanout(
-        Fanout(
-            trace.map(|(t, _)| SpanSink::new(p, t.clone())),
-            MetricsSink::new(p, strategy),
-        ),
-        hist,
+        trace.map(|(t, _)| SpanSink::new(p, t.clone())),
+        MetricsSink::new(p, strategy),
     );
     if let Some((t, label)) = trace {
         t.begin(MAIN_LANE, "bench", t.intern(label));
@@ -407,12 +393,13 @@ fn profile_with(
     if let Some((t, label)) = trace {
         t.end(MAIN_LANE, "bench", t.intern(label));
     }
-    let Fanout(Fanout(_span, report), hist) = sink;
-    if let Some(h) = hist {
-        // Publishes the final cumulative snapshot into the registry.
-        h.finish();
-    }
-    report.finish()
+    let Fanout(_span, metrics) = sink;
+    let set = cell
+        .map(|(workload, size)| {
+            metrics.metric_set(&[("workload", workload), ("size", &size.to_string())])
+        })
+        .unwrap_or_default();
+    (metrics.finish(), set)
 }
 
 /// One point on a cell's semi-naive scaling curve.
@@ -448,6 +435,9 @@ pub struct WorkloadMeasurement {
     /// Semi-naive wall clock at each [`scaling_curve`] worker count
     /// (empty when the run measured no curve).
     pub scaling: Vec<ScalingPoint>,
+    /// The instrumented runs' OpenMetrics series, labeled
+    /// workload/size/strategy (empty unless [`BenchConfig::metrics`]).
+    pub metrics: MetricSet,
 }
 
 fn measure_strategy(
@@ -458,7 +448,7 @@ fn measure_strategy(
     cfg: &BenchConfig,
     workload: &str,
     size: usize,
-) -> (Model, StrategyMeasurement) {
+) -> (Model, StrategyMeasurement, MetricSet) {
     // Strategy cells time one worker; `scaling` holds the sharded timings.
     let run = || run_with(p, edb, strategy, cfg.optimize, 1);
     for _ in 1..cfg.warmup.max(1) {
@@ -479,16 +469,18 @@ fn measure_strategy(
     // rides this run for the same reason). With rewrites on, one more
     // unoptimized instrumented run supplies the before figure.
     let span_label = format!("{workload}/{size} {label}");
-    let report = profile_with(
+    let (report, metrics) = profile_with(
         p,
         edb,
         strategy,
         cfg.optimize,
         cfg.trace.as_ref().map(|t| (t, span_label.as_str())),
-        cfg.metrics.as_ref().map(|reg| (reg, workload, size)),
+        cfg.metrics.then_some((workload, size)),
     );
     let derivations_unoptimized = cfg.optimize.any().then(|| {
-        profile_with(p, edb, strategy, Optimize::default(), None, None).total_derivations()
+        profile_with(p, edb, strategy, Optimize::default(), None, None)
+            .0
+            .total_derivations()
     });
     let measurement = StrategyMeasurement {
         strategy: label,
@@ -502,7 +494,7 @@ fn measure_strategy(
         pruned: report.pruned,
         derivations_unoptimized,
     };
-    (model, measurement)
+    (model, measurement, metrics)
 }
 
 /// Measure one (workload, size) cell across all three strategies,
@@ -518,10 +510,12 @@ pub fn run_workload(w: &Workload, size: usize, cfg: &BenchConfig) -> WorkloadMea
     ];
     let mut models = Vec::new();
     let mut strategies = Vec::new();
+    let mut metrics = MetricSet::new();
     for (label, strategy) in runners {
-        let (model, m) = measure_strategy(label, strategy, p, edb, cfg, w.name, size);
+        let (model, m, set) = measure_strategy(label, strategy, p, edb, cfg, w.name, size);
         models.push(model);
         strategies.push(m);
+        metrics.merge(&set);
     }
     let expected = models[0].render(p);
     for (i, model) in models.iter().enumerate().skip(1) {
@@ -547,21 +541,28 @@ pub fn run_workload(w: &Workload, size: usize, cfg: &BenchConfig) -> WorkloadMea
         name: inst.reference,
         stats: time_samples(cfg.samples, || (inst.solve)()),
     };
-    // The scaling curve: the semi-naive fixpoint re-timed at each worker
-    // count, each point's warm-up model checked against the sequential
-    // model (determinism is part of what's measured).
+    // The scaling curve: the semi-naive fixpoint timed at each worker
+    // count, each multi-worker point's warm-up model checked against the
+    // sequential model (determinism is part of what's measured). The
+    // 1-worker point is the semi-naive strategy cell, which already timed
+    // this exact run, so it is reused rather than re-timed.
     let mut scaling = Vec::new();
     for workers in scaling_curve(cfg.workers) {
-        let run = || run_with(p, edb, Strategy::SemiNaive, cfg.optimize, workers);
-        assert_eq!(
-            expected,
-            run().render(p),
-            "{workers}-worker seminaive disagrees on {}/{size}",
-            w.name
-        );
+        let stats = if workers == 1 {
+            strategies[0].stats
+        } else {
+            let run = || run_with(p, edb, Strategy::SemiNaive, cfg.optimize, workers);
+            assert_eq!(
+                expected,
+                run().render(p),
+                "{workers}-worker seminaive disagrees on {}/{size}",
+                w.name
+            );
+            time_samples(cfg.samples, run)
+        };
         scaling.push(ScalingPoint {
             workers,
-            stats: time_samples(cfg.samples, run),
+            stats,
             speedup: 0.0, // filled against the first point below
         });
     }
@@ -582,6 +583,7 @@ pub fn run_workload(w: &Workload, size: usize, cfg: &BenchConfig) -> WorkloadMea
         strategies,
         reference: direct,
         scaling,
+        metrics,
     }
 }
 
@@ -1168,6 +1170,7 @@ mod tests {
                 stats,
             },
             scaling: Vec::new(),
+            metrics: MetricSet::new(),
         }
     }
 

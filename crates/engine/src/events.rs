@@ -369,7 +369,6 @@ mod tests {
     fn wrappers_forward_every_event_and_query() {
         use crate::edb::Edb;
         use crate::eval::{EvalOptions, MonotonicEngine};
-        use crate::metrics::HistogramSink;
         use crate::profile::MetricsSink;
         use crate::trace::{SpanSink, Tracer};
         use maglog_datalog::parse_program;
@@ -406,10 +405,9 @@ mod tests {
         // arm of a `Fanout`, and stays off for the no-op sink.
         let mut metrics = MetricsSink::new(&p, Strategy::SemiNaive);
         let mut spans = SpanSink::new(&p, Tracer::new());
-        let mut hist = HistogramSink::new(&p, &[]);
         assert!(Fanout(NoopSink, Some(&mut metrics)).wants_relation_memory());
         assert!(Fanout(&mut spans, NoopSink).worker_tracer().is_some());
-        assert!(Fanout(NoopSink, Fanout(None::<NoopSink>, &mut hist))
+        assert!(Fanout(NoopSink, Fanout(None::<NoopSink>, &mut metrics))
             .worker_meter()
             .is_some());
         let off = Fanout(Some(NoopSink), Fanout(None::<MetricsSink>, &mut NoopSink));

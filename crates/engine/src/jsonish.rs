@@ -5,8 +5,9 @@
 //! carried its own copy of the escaping and number-formatting helpers.
 //! They live here now, together with a small ordered value tree
 //! ([`JsonValue`]) whose renderer and parser round-trip — the bench
-//! harness builds its documents as trees and reads baselines (v1 or v2)
-//! back through [`parse`].
+//! harness builds its documents as trees, and `maglog diff` (and with
+//! it the bench baseline gate, which reads v2 documents only) parses
+//! them back through [`parse`] via [`crate::diff::parse_document`].
 
 use std::fmt::Write as _;
 

@@ -53,7 +53,6 @@ pub mod jsonish;
 pub mod metrics;
 pub mod model;
 pub mod par;
-pub mod serve;
 pub mod plan;
 pub mod profile;
 pub mod provenance;
@@ -74,12 +73,10 @@ pub use events::{
 };
 pub use interp::{IndexStats, Interp, Relation, RelationMemory, Tuple};
 pub use metrics::{
-    parse_openmetrics, Histogram, HistogramBlock, HistogramSink, Meter, MetricSet, Registry,
-    Unit, WorkerSample, OPENMETRICS_CONTENT_TYPE,
+    parse_openmetrics, Histogram, HistogramBlock, Meter, MetricSet, Unit, WorkerSample,
 };
 pub use model::Model;
 pub use par::{available_workers, resolve_workers};
-pub use serve::MetricsServer;
 pub use profile::{
     fmt_bytes, fmt_nanos, render_profile_json, MetricsSink, ParallelProfile, ProfileReport,
 };

@@ -14,9 +14,11 @@
 //!   (pred, key) changed the database when applied: a new tuple, a strict
 //!   lattice improvement, or no change. The greedy strategy applies
 //!   settles directly from its priority queue, so these are zero there.
-//! * **nanos** — wall-clock spent inside rule firings, measured by the
-//!   sink's [`Clock`] (inject a [`crate::events::ManualClock`] for
-//!   deterministic tests: nanos == firings at step 1).
+//! * **nanos** — wall-clock spent inside rule firings: the sum of the
+//!   rule's firing-latency histogram, so it includes the worker-timed
+//!   firings of `--parallel` rounds (inject a
+//!   [`crate::events::ManualClock`] for deterministic tests: nanos ==
+//!   firings at step 1, sequentially).
 //! * **index counters** — see [`IndexStats`]; lifetime totals per
 //!   relation, reported once after evaluation.
 //!
@@ -25,12 +27,14 @@
 //! runs of the same program produce identical JSON up to `nanos`.
 
 use crate::eval::Strategy;
-use crate::events::{Clock, Event, EventSink, InsertOutcome, SystemClock};
+use crate::events::{Clock, Event, EventSink, InsertOutcome};
 use crate::interp::{IndexStats, RelationMemory};
 use crate::jsonish::json_str;
+use crate::metrics::{Histogram, HistogramBlock, Labels, Meter, MetricSet, Unit};
 use crate::plan::plan_rule;
 use maglog_datalog::Program;
 use std::collections::BTreeSet;
+use std::sync::Arc;
 
 /// Per-round detail rows kept per component in the report; further rounds
 /// are only counted (`rounds_elided`). Keeps greedy profiles (one round
@@ -105,7 +109,8 @@ pub struct RuleProfile {
     pub inserted: u64,
     pub improved: u64,
     pub noop: u64,
-    /// Wall-clock inside this rule's firings, by the sink's clock.
+    /// Wall-clock inside this rule's firings: the sum of its
+    /// firing-latency histogram, worker-timed firings included.
     pub nanos: u64,
 }
 
@@ -177,11 +182,10 @@ pub struct ProfileReport {
     pub pruned: u64,
     /// Parallel-evaluator telemetry; `None` for sequential runs.
     pub parallel: Option<ParallelProfile>,
-    /// Latency-distribution summaries from a
-    /// [`HistogramSink`](crate::metrics::HistogramSink) run alongside
-    /// this sink (attached by the host; empty when no metrics were
-    /// recorded, and then absent from both renderings).
-    pub histograms: Vec<crate::metrics::HistogramBlock>,
+    /// Latency-distribution summaries of [`MetricsSink::metric_set`]
+    /// (attached by the host when it exports metrics; empty otherwise,
+    /// and then absent from both renderings).
+    pub histograms: Vec<HistogramBlock>,
 }
 
 impl ProfileReport {
@@ -554,8 +558,8 @@ impl ProfileReport {
             s.push_str("histograms:\n");
             for h in &self.histograms {
                 let v = |x: u64| match h.unit {
-                    crate::metrics::Unit::Seconds => fmt_nanos(x),
-                    crate::metrics::Unit::Bytes => fmt_bytes(x),
+                    Unit::Seconds => fmt_nanos(x),
+                    Unit::Bytes => fmt_bytes(x),
                     _ => x.to_string(),
                 };
                 s.push_str(&format!(
@@ -585,12 +589,12 @@ impl ProfileReport {
 /// The unit histogram block values are *recorded* in — seconds-unit
 /// families record nanoseconds (scaling happens only at OpenMetrics
 /// exposition), so the profile JSON labels them honestly.
-fn raw_unit_name(unit: crate::metrics::Unit) -> &'static str {
+fn raw_unit_name(unit: Unit) -> &'static str {
     match unit {
-        crate::metrics::Unit::None => "",
-        crate::metrics::Unit::Seconds => "nanoseconds",
-        crate::metrics::Unit::Bytes => "bytes",
-        crate::metrics::Unit::Tuples => "tuples",
+        Unit::None => "",
+        Unit::Seconds => "nanoseconds",
+        Unit::Bytes => "bytes",
+        Unit::Tuples => "tuples",
     }
 }
 
@@ -641,15 +645,54 @@ pub fn render_profile_json(program_label: &str, reports: &[ProfileReport]) -> St
     s
 }
 
-/// [`EventSink`] that aggregates everything into a [`ProfileReport`].
+// OpenMetrics family names and help text of the exposition.
+const RULE_FIRE: &str = "maglog_rule_fire_duration_seconds";
+const RULE_FIRE_HELP: &str = "Wall-clock latency of individual rule firings.";
+const ROUND_DURATION: &str = "maglog_round_duration_seconds";
+const ROUND_DURATION_HELP: &str = "Duration of fixpoint rounds (firing plus apply phase).";
+const BARRIER_WAIT: &str = "maglog_barrier_wait_seconds";
+const BARRIER_WAIT_HELP: &str =
+    "Time spent waiting at the parallel round barrier (orchestrator straggler wait, and per-worker wait when labeled).";
+const WORKER_FIRE: &str = "maglog_worker_fire_duration_seconds";
+const WORKER_FIRE_HELP: &str = "Per-worker firing-phase duration per parallel round.";
+const ROUND_BUFFER: &str = "maglog_round_buffer_tuples";
+const ROUND_BUFFER_HELP: &str =
+    "Distinct derivations buffered per round (the merged buffer size under --parallel).";
+const HEAP_LIVE: &str = "maglog_heap_live_bytes";
+const HEAP_LIVE_HELP: &str =
+    "Live heap sampled at round boundaries (zero when the counting allocator is absent).";
+const HEAP_PEAK: &str = "maglog_heap_peak_bytes";
+const HEAP_PEAK_HELP: &str = "Allocator high-water mark at the last snapshot.";
+const ROUNDS: &str = "maglog_rounds";
+const ROUNDS_HELP: &str = "Fixpoint rounds executed.";
+const FIRINGS: &str = "maglog_firings";
+const FIRINGS_HELP: &str = "Rule firings attempted.";
+const DERIVATIONS: &str = "maglog_derivations";
+const DERIVATIONS_HELP: &str = "Distinct derivations buffered across all rounds.";
+const MERGES: &str = "maglog_barrier_merges";
+const MERGES_HELP: &str = "Same-key derivations merged across shards at round barriers.";
+
+/// [`EventSink`] that records one evaluation: the counters and round
+/// detail of a [`ProfileReport`] ([`finish`](Self::finish)) and the
+/// latency/size histograms of its OpenMetrics exposition
+/// ([`metric_set`](Self::metric_set)). Every timing comes from one
+/// [`Meter`], so the two views cannot disagree: a rule's `nanos` is its
+/// firing histogram's sum.
+///
+/// Sequential firings are timed by bracketing
+/// [`Event::FireStart`]/[`Event::FireEnd`]; parallel shards time their
+/// firings worker-locally with the same meter
+/// ([`EventSink::worker_meter`]) and arrive merged through
+/// [`Event::WorkerSample`], so the hot loops never touch a shared lock.
 pub struct MetricsSink<'p> {
     program: &'p Program,
     strategy: Strategy,
-    clock: Box<dyn Clock>,
+    meter: Meter,
     components: Vec<ComponentProfile>,
-    /// Keyed by program rule index (values hold counters only; text and
-    /// plan are resolved in [`finish`](Self::finish)).
-    rules: Vec<(usize, RuleProfile)>,
+    /// Keyed by program rule index: the rule's counters (text, plan and
+    /// nanos are resolved in [`finish`](Self::finish)) and its
+    /// firing-latency histogram.
+    rules: Vec<(usize, RuleProfile, Histogram)>,
     indexes: Vec<IndexProfile>,
     memory: Vec<MemoryProfile>,
     agg_groups: u64,
@@ -659,21 +702,39 @@ pub struct MetricsSink<'p> {
     pruned: u64,
     parallel: Option<ParallelProfile>,
     cur_round: Option<RoundProfile>,
+    round_duration: Histogram,
+    /// Distinct derivations buffered per round: its count is the round
+    /// total and its sum the derivation total of the exposition.
+    round_buffer: Histogram,
+    heap_live: Histogram,
+    barrier_wait: Histogram,
+    /// Per-worker firing phase and barrier wait, indexed by worker.
+    worker_fire: Vec<Histogram>,
+    worker_wait: Vec<Histogram>,
+    round_started: u64,
     fire_started: u64,
 }
 
 impl<'p> MetricsSink<'p> {
     /// Metrics with real wall-clock rule timings.
     pub fn new(program: &'p Program, strategy: Strategy) -> Self {
-        Self::with_clock(program, strategy, Box::new(SystemClock::new()))
+        Self::with_meter(program, strategy, Meter::system())
     }
 
     /// Metrics with an injected clock (deterministic tests).
-    pub fn with_clock(program: &'p Program, strategy: Strategy, clock: Box<dyn Clock>) -> Self {
+    pub fn with_clock(
+        program: &'p Program,
+        strategy: Strategy,
+        clock: Box<dyn Clock + Send + Sync>,
+    ) -> Self {
+        Self::with_meter(program, strategy, Meter::with_clock(Arc::from(clock)))
+    }
+
+    fn with_meter(program: &'p Program, strategy: Strategy, meter: Meter) -> Self {
         MetricsSink {
             program,
             strategy,
-            clock,
+            meter,
             components: Vec::new(),
             rules: Vec::new(),
             indexes: Vec::new(),
@@ -685,16 +746,28 @@ impl<'p> MetricsSink<'p> {
             pruned: 0,
             parallel: None,
             cur_round: None,
+            round_duration: Histogram::new(),
+            round_buffer: Histogram::new(),
+            heap_live: Histogram::new(),
+            barrier_wait: Histogram::new(),
+            worker_fire: Vec::new(),
+            worker_wait: Vec::new(),
+            round_started: 0,
             fire_started: 0,
         }
     }
 
-    fn rule_entry(&mut self, ri: usize) -> &mut RuleProfile {
-        if let Some(pos) = self.rules.iter().position(|(i, _)| *i == ri) {
-            return &mut self.rules[pos].1;
+    fn rule_slot(&mut self, ri: usize) -> &mut (usize, RuleProfile, Histogram) {
+        if let Some(pos) = self.rules.iter().position(|(i, ..)| *i == ri) {
+            return &mut self.rules[pos];
         }
-        self.rules.push((ri, RuleProfile::default()));
-        &mut self.rules.last_mut().unwrap().1
+        self.rules
+            .push((ri, RuleProfile::default(), Histogram::new()));
+        self.rules.last_mut().unwrap()
+    }
+
+    fn rule_entry(&mut self, ri: usize) -> &mut RuleProfile {
+        &mut self.rule_slot(ri).1
     }
 
     /// Credit `count` firings of `rule` to the rule and the current round.
@@ -705,20 +778,86 @@ impl<'p> MetricsSink<'p> {
         }
     }
 
+    /// The recorded histograms and work counters as OpenMetrics families.
+    /// Every series carries a `strategy` label plus `labels`; per-rule
+    /// series add `rule` and `head`, per-worker series `worker`. Callable
+    /// after a failed evaluation, so aborted runs can be diagnosed.
+    pub fn metric_set(&self, labels: &[(&str, &str)]) -> MetricSet {
+        let base = |extra: &[(&str, &str)]| -> Labels {
+            let mut l: Labels = [("strategy", self.strategy.name())]
+                .iter()
+                .chain(labels)
+                .chain(extra)
+                .map(|(k, v)| (k.to_string(), v.to_string()))
+                .collect();
+            l.sort();
+            l
+        };
+        let mut set = MetricSet::new();
+        for (ri, _, h) in self.rules.iter().filter(|(.., h)| !h.is_empty()) {
+            let head = self
+                .program
+                .rules
+                .get(*ri)
+                .map(|r| self.program.pred_name(r.head.pred))
+                .unwrap_or_default();
+            let labels = base(&[("rule", &ri.to_string()), ("head", &head)]);
+            set.merge_histogram(RULE_FIRE, RULE_FIRE_HELP, Unit::Seconds, labels, h);
+        }
+        for (name, help, unit, h) in [
+            (ROUND_DURATION, ROUND_DURATION_HELP, Unit::Seconds, &self.round_duration),
+            (ROUND_BUFFER, ROUND_BUFFER_HELP, Unit::Tuples, &self.round_buffer),
+            (HEAP_LIVE, HEAP_LIVE_HELP, Unit::Bytes, &self.heap_live),
+            (BARRIER_WAIT, BARRIER_WAIT_HELP, Unit::Seconds, &self.barrier_wait),
+        ] {
+            if !h.is_empty() {
+                set.merge_histogram(name, help, unit, base(&[]), h);
+            }
+        }
+        for (name, help, by_worker) in [
+            (WORKER_FIRE, WORKER_FIRE_HELP, &self.worker_fire),
+            (BARRIER_WAIT, BARRIER_WAIT_HELP, &self.worker_wait),
+        ] {
+            for (w, h) in by_worker.iter().enumerate() {
+                let labels = base(&[("worker", &w.to_string())]);
+                set.merge_histogram(name, help, Unit::Seconds, labels, h);
+            }
+        }
+        let firings = self.rules.iter().map(|(_, r, _)| r.firings).sum();
+        set.counter(ROUNDS, ROUNDS_HELP, base(&[]), self.round_buffer.count());
+        set.counter(FIRINGS, FIRINGS_HELP, base(&[]), firings);
+        set.counter(
+            DERIVATIONS,
+            DERIVATIONS_HELP,
+            base(&[]),
+            self.round_buffer.sum(),
+        );
+        let merges = self.parallel.as_ref().map_or(0, |p| p.merges);
+        if merges > 0 {
+            set.counter(MERGES, MERGES_HELP, base(&[]), merges);
+        }
+        let peak = crate::alloc::peak_bytes();
+        if peak > 0 {
+            set.gauge(HEAP_PEAK, HEAP_PEAK_HELP, base(&[]), peak as f64);
+        }
+        set
+    }
+
     /// Consume the sink into its report, resolving rule texts and plan
     /// summaries against the program.
     pub fn finish(mut self) -> ProfileReport {
-        self.rules.sort_by_key(|(ri, _)| *ri);
+        self.rules.sort_by_key(|(ri, ..)| *ri);
         let rules = self
             .rules
             .into_iter()
-            .map(|(ri, mut prof)| {
+            .map(|(ri, mut prof, fire)| {
                 let rule = &self.program.rules[ri];
                 prof.rule = ri;
                 prof.text = self.program.display_rule(rule);
                 prof.plan = plan_rule(self.program, rule, &BTreeSet::new(), None)
                     .map(|p| p.summary(self.program, rule))
                     .unwrap_or_else(|_| "<unplannable>".to_string());
+                prof.nanos = fire.sum();
                 prof
             })
             .collect();
@@ -762,6 +901,7 @@ impl EventSink for MetricsSink<'_> {
                 });
             }
             Event::RoundStart { round, full } => {
+                self.round_started = self.meter.now_nanos();
                 self.cur_round = Some(RoundProfile {
                     round,
                     full,
@@ -769,12 +909,12 @@ impl EventSink for MetricsSink<'_> {
                 });
             }
             Event::FireStart { rule } => {
-                self.fire_started = self.clock.now_nanos();
+                self.fire_started = self.meter.now_nanos();
                 self.count_firings(rule, 1);
             }
             Event::FireEnd { rule } => {
-                let elapsed = self.clock.now_nanos().saturating_sub(self.fire_started);
-                self.rule_entry(rule).nanos += elapsed;
+                let elapsed = self.meter.now_nanos().saturating_sub(self.fire_started);
+                self.rule_slot(rule).2.record(elapsed);
             }
             Event::Firings { rule, count } => self.count_firings(rule, count),
             Event::Insert { rule, outcome, .. } => {
@@ -820,6 +960,10 @@ impl EventSink for MetricsSink<'_> {
                 changed,
                 ..
             } => {
+                let elapsed = self.meter.now_nanos().saturating_sub(self.round_started);
+                self.round_duration.record(elapsed);
+                self.round_buffer.record(derivations as u64);
+                self.heap_live.record(crate::alloc::current_bytes() as u64);
                 let Some(mut r) = self.cur_round.take() else {
                     return;
                 };
@@ -849,6 +993,7 @@ impl EventSink for MetricsSink<'_> {
                 par.rounds += 1;
                 par.merges += merges;
                 par.barrier_wait_nanos += barrier_wait_nanos;
+                self.barrier_wait.record(barrier_wait_nanos);
                 for (w, &n) in shard_sizes.iter().enumerate() {
                     if let Some(slot) = par.shard_firings.get_mut(w) {
                         *slot += n as u64;
@@ -889,12 +1034,29 @@ impl EventSink for MetricsSink<'_> {
                 pred: self.program.pred_name(pred),
                 memory,
             }),
-            Event::WorkerSample(_) => {}
+            Event::WorkerSample(sample) => {
+                for (by_worker, nanos) in [
+                    (&mut self.worker_fire, sample.fire_nanos),
+                    (&mut self.worker_wait, sample.wait_nanos),
+                ] {
+                    if by_worker.len() <= sample.worker {
+                        by_worker.resize_with(sample.worker + 1, Histogram::new);
+                    }
+                    by_worker[sample.worker].record(nanos);
+                }
+                for (ri, h) in &sample.rule_nanos {
+                    self.rule_slot(*ri).2.merge(h);
+                }
+            }
         }
     }
 
     fn wants_relation_memory(&self) -> bool {
         true
+    }
+
+    fn worker_meter(&self) -> Option<Meter> {
+        Some(self.meter.clone())
     }
 }
 
@@ -1099,7 +1261,6 @@ mod tests {
 
     #[test]
     fn histogram_blocks_render_in_both_formats() {
-        use crate::metrics::{HistogramBlock, Unit};
         let mut report = ProfileReport {
             strategy: "seminaive",
             ..Default::default()

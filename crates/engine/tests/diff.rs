@@ -8,8 +8,8 @@
 
 use maglog_datalog::{parse_program, Program};
 use maglog_engine::{
-    alloc, diff_texts, parse_document, render_profile_json, DocKind, Edb, HistogramSink,
-    ManualClock, MetricsSink, MonotonicEngine, Strategy,
+    alloc, diff_texts, parse_document, render_profile_json, DocKind, Edb, ManualClock, MetricsSink,
+    MonotonicEngine, Strategy,
 };
 
 /// Installed so allocator-backed memory figures in the documents are
@@ -56,11 +56,11 @@ fn profile_doc(label: &str, program: &Program) -> String {
 }
 
 fn metrics_doc(program: &Program) -> String {
-    let mut sink = HistogramSink::new(program, &[("strategy", "seminaive")]);
+    let mut sink = MetricsSink::new(program, Strategy::SemiNaive);
     MonotonicEngine::new(program)
         .evaluate_with_sink(&Edb::new(), &mut sink)
         .unwrap();
-    sink.finish().render_openmetrics()
+    sink.metric_set(&[]).render_openmetrics()
 }
 
 #[test]

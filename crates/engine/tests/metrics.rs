@@ -1,12 +1,11 @@
 //! Histogram lattice-law property tests (the `merge_laws` discipline
-//! applied to the metrics layer) and end-to-end `HistogramSink` runs,
+//! applied to the metrics layer) and end-to-end `MetricsSink` runs,
 //! sequential and parallel, through the OpenMetrics round trip.
 
 use maglog_engine::{
-    parse_openmetrics, Edb, EvalOptions, EventSink, Fanout, Histogram, HistogramSink, ManualClock,
-    Meter, MetricsSink, MonotonicEngine, NoopSink, Registry, Strategy,
+    parse_openmetrics, Edb, EvalOptions, EventSink, Fanout, Histogram, ManualClock, MetricsSink,
+    MonotonicEngine, NoopSink, Strategy,
 };
-use std::sync::Arc;
 
 const TC: &str = "e(a, b). e(b, c). e(c, d).\n\
                   tc(X, Y) :- e(X, Y).\n\
@@ -134,15 +133,36 @@ fn saturates_at_u64_max_instead_of_wrapping() {
     assert_eq!(other.count(), 6);
 }
 
+/// A metrics sink on a step-1 manual clock: every clock reading advances
+/// one nanosecond, so timings are small integers.
+fn manual_sink(p: &maglog_datalog::Program, strategy: Strategy) -> MetricsSink<'_> {
+    MetricsSink::with_clock(p, strategy, Box::new(ManualClock::with_step(1)))
+}
+
+fn evaluate(
+    p: &maglog_datalog::Program,
+    strategy: Strategy,
+    workers: usize,
+    sink: &mut impl EventSink,
+) {
+    MonotonicEngine::with_options(
+        p,
+        EvalOptions {
+            strategy,
+            workers,
+            ..Default::default()
+        },
+    )
+    .evaluate_with_sink(&Edb::new(), sink)
+    .unwrap();
+}
+
 #[test]
 fn sequential_run_records_all_core_families() {
     let p = maglog_datalog::parse_program(TC).unwrap();
-    let meter = Meter::with_clock(Arc::new(ManualClock::with_step(1)));
-    let mut sink = HistogramSink::with_meter(&p, &[("strategy", "seminaive")], meter);
-    MonotonicEngine::new(&p)
-        .evaluate_with_sink(&Edb::new(), &mut sink)
-        .unwrap();
-    let set = sink.finish();
+    let mut sink = manual_sink(&p, Strategy::SemiNaive);
+    evaluate(&p, Strategy::SemiNaive, 1, &mut sink);
+    let set = sink.metric_set(&[]);
     let text = set.render_openmetrics();
     for family in [
         "maglog_rule_fire_duration_seconds",
@@ -172,21 +192,9 @@ fn parallel_run_merges_worker_local_histograms_at_the_barrier() {
     // One shared ManualClock: atomic, so worker reads interleave safely
     // and every bracketed interval is a deterministic multiple of the
     // step.
-    let meter = Meter::with_clock(Arc::new(ManualClock::with_step(1)));
-    let registry = Registry::new();
-    let mut sink = HistogramSink::with_meter(&p, &[("strategy", "seminaive")], meter)
-        .publish_to(registry.clone());
-    MonotonicEngine::with_options(
-        &p,
-        EvalOptions {
-            workers: 2,
-            ..Default::default()
-        },
-    )
-    .evaluate_with_sink(&Edb::new(), &mut sink)
-    .unwrap();
-    let set = sink.finish();
-    let text = set.render_openmetrics();
+    let mut sink = manual_sink(&p, Strategy::SemiNaive);
+    evaluate(&p, Strategy::SemiNaive, 2, &mut sink);
+    let text = sink.metric_set(&[]).render_openmetrics();
     // Worker-labeled series for both workers, plus the orchestrator's
     // straggler-wait series.
     assert!(text.contains("worker=\"0\""), "{text}");
@@ -198,33 +206,20 @@ fn parallel_run_merges_worker_local_histograms_at_the_barrier() {
     // rule fired on some worker and its histogram is non-empty.
     assert!(text.contains("maglog_rule_fire_duration_seconds"), "{text}");
     parse_openmetrics(&text).expect(&text);
-    // The registry holds the published snapshot: same families live.
-    let live = registry.render();
-    assert!(live.contains("maglog_round_duration_seconds"), "{live}");
-    parse_openmetrics(&live).expect(&live);
 }
 
 #[test]
 fn fanout_resolves_the_meter_and_both_sinks_see_events() {
     let p = maglog_datalog::parse_program(TC).unwrap();
-    let meter = Meter::with_clock(Arc::new(ManualClock::with_step(1)));
-    let hist = HistogramSink::with_meter(&p, &[], meter);
-    let metrics = MetricsSink::with_clock(
-        &p,
-        Strategy::SemiNaive,
-        Box::new(ManualClock::with_step(1)),
-    );
-    let mut sink = Fanout(metrics, hist);
+    let mut sink = Fanout(NoopSink, manual_sink(&p, Strategy::SemiNaive));
     // The fanout finds the meter on its second arm.
     assert!(sink.worker_meter().is_some());
     assert!(Fanout(NoopSink, NoopSink).worker_meter().is_none());
-    MonotonicEngine::new(&p)
-        .evaluate_with_sink(&Edb::new(), &mut sink)
-        .unwrap();
-    let Fanout(metrics, hist) = sink;
+    evaluate(&p, Strategy::SemiNaive, 1, &mut sink);
+    let Fanout(_, metrics) = sink;
+    let set = metrics.metric_set(&[]);
     let report = metrics.finish();
-    let set = hist.finish();
-    // Both observed the same firing count.
+    // The exposition and the profile count the same firings.
     let firings = set
         .samples()
         .into_iter()
@@ -236,4 +231,55 @@ fn fanout_resolves_the_meter_and_both_sinks_see_events() {
     assert!(blocks
         .iter()
         .any(|b| b.metric == "maglog_round_duration_seconds"));
+}
+
+/// The profile and the exposition of one run agree rule by rule: the
+/// profile's `firings` is the firing histogram's `_count` and its `nanos`
+/// the histogram's `_sum`, sequentially and with worker-timed firings.
+#[test]
+fn profile_and_exposition_agree_per_rule_for_every_sample_program() {
+    let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/../../programs");
+    let mut paths: Vec<_> = std::fs::read_dir(dir)
+        .expect("programs directory")
+        .filter_map(|e| e.ok().map(|e| e.path()))
+        .filter(|p| p.extension().is_some_and(|x| x == "mgl"))
+        .collect();
+    paths.sort();
+    assert!(!paths.is_empty(), "no sample programs found");
+    for path in paths {
+        let src = std::fs::read_to_string(&path).unwrap();
+        let p = maglog_datalog::parse_program(&src).unwrap();
+        for strategy in [Strategy::Naive, Strategy::SemiNaive, Strategy::Greedy] {
+            for workers in [1, 2] {
+                let mut sink = manual_sink(&p, strategy);
+                evaluate(&p, strategy, workers, &mut sink);
+                let samples = sink.metric_set(&[]).samples();
+                let report = sink.finish();
+                let at = format!("{path:?} [{}] x{workers}", strategy.name());
+                assert!(report.total_firings() > 0, "{at}: nothing fired");
+                for rule in &report.rules {
+                    let series = |suffix: &str| {
+                        samples
+                            .iter()
+                            .find(|s| {
+                                s.name == format!("maglog_rule_fire_duration_seconds{suffix}")
+                                    && s.labels.contains(&("rule".into(), rule.rule.to_string()))
+                            })
+                            .map_or(0.0, |s| s.value)
+                    };
+                    assert_eq!(
+                        series("_count") as u64,
+                        rule.firings,
+                        "{at}: rule {}",
+                        rule.rule
+                    );
+                    let sum_nanos = (series("_sum") * 1e9).round() as u64;
+                    assert_eq!(sum_nanos, rule.nanos, "{at}: rule {}", rule.rule);
+                    // Every timed firing spans at least one clock step,
+                    // worker-timed ones included.
+                    assert!(rule.nanos >= rule.firings, "{at}: rule {}", rule.rule);
+                }
+            }
+        }
+    }
 }

@@ -38,7 +38,6 @@
 //! --parallel[=N]               evaluate with N workers (bare: every core)
 //! --trace <FILE>               span timeline as Chrome trace JSON (docs/tracing.md)
 //! --metrics <FILE>             latency/size histograms as OpenMetrics 1.0 text
-//! --listen <ADDR>              serve live GET /metrics during (and after) the run
 //! ```
 //!
 //! `explain` options (goal form):
@@ -99,8 +98,8 @@ use maglog::engine::{
     parse_goal, parse_openmetrics, render_collapsed_stacks, render_explain_dot,
     render_explain_human, render_explain_json, render_profile_json, render_why_not_human,
     render_why_not_json, validate_chrome_trace, why_not, Document, Edb, EvalOptions, Fanout,
-    HistogramSink, MetricSet, MetricsServer, MetricsSink, Model, MonotonicEngine, Optimize,
-    Registry, SpanSink, Strategy, Tracer, Tuple, TRACE_SCHEMA,
+    MetricSet, MetricsSink, Model, MonotonicEngine, Optimize, SpanSink, Strategy, Tracer, Tuple,
+    TRACE_SCHEMA,
 };
 use std::process::ExitCode;
 
@@ -119,7 +118,7 @@ usage: maglog <check|run|profile|bench|diff|compare|explain> [args]
           <program.mgl> [pred...]
   profile [--format=human|json] [--strategy=naive|seminaive|greedy]
           [--optimize[=prem,demand]] [--parallel[=N]] [--trace <FILE>]
-          [--metrics <FILE>] [--listen <ADDR>] <program.mgl>
+          [--metrics <FILE>] <program.mgl>
   bench   [--samples <N>] [--warmup <N>] [--workloads <a,b>] [--sizes <n,m>]
           [--format=human|json] [--out <FILE>] [--baseline <FILE>] [--gate <RATIO>]
           [--optimize[=prem,demand]] [--parallel[=N]] [--trace <FILE>] [--metrics <FILE>]
@@ -193,13 +192,9 @@ docs/tracing.md. trace-validate checks such a document structurally
 firing latency, round duration, barrier wait, merged-buffer sizes, heap)
 plus work counters, and writes them as OpenMetrics 1.0 text — even when
 evaluation fails, so aborted runs can be diagnosed; see docs/metrics.md.
-profile additionally summarizes the histograms as p50/p90/p99/max blocks,
-and profile --listen <ADDR> serves live GET /metrics snapshots (updated at
-round barriers) while the evaluation runs, then keeps serving the final
-snapshot until interrupted. ADDR is host:port; port 0 picks a free port
-(the bound address is printed on stderr). metrics-validate checks an
-exposition against the bundled OpenMetrics parser and exits 1 on any
-violation, so CI can hard-fail malformed output.";
+profile additionally summarizes the histograms as p50/p90/p99/max blocks.
+metrics-validate checks an exposition against the bundled OpenMetrics
+parser and exits 1 on any violation, so CI can hard-fail malformed output.";
 
 #[derive(Clone, Copy, PartialEq)]
 enum Format {
@@ -415,7 +410,7 @@ fn main() -> ExitCode {
             optimize: opts.optimize,
             workers: opts.parallel,
             trace: opts.trace.as_ref().map(|_| Tracer::new()),
-            metrics: opts.metrics.as_ref().map(|_| Registry::new()),
+            metrics: opts.metrics.is_some(),
         };
         // Filter problems (unknown workloads, sizes matching nothing) are
         // usage errors, caught before any measurement runs.
@@ -501,8 +496,6 @@ struct ProfileOpts {
     trace: Option<String>,
     /// Write an OpenMetrics 1.0 exposition here.
     metrics: Option<String>,
-    /// Serve live `GET /metrics` snapshots on this address.
-    listen: Option<String>,
 }
 
 fn parse_profile_opts(args: &[String]) -> Result<(ProfileOpts, Vec<String>), ArgError> {
@@ -513,7 +506,6 @@ fn parse_profile_opts(args: &[String]) -> Result<(ProfileOpts, Vec<String>), Arg
         parallel: 1,
         trace: None,
         metrics: None,
-        listen: None,
     };
     let mut operands = Vec::new();
     let mut it = args.iter().peekable();
@@ -555,13 +547,6 @@ fn parse_profile_opts(args: &[String]) -> Result<(ProfileOpts, Vec<String>), Arg
                 let v = value("--metrics")?;
                 check_out_path("--metrics", &v)?;
                 opts.metrics = Some(v);
-            }
-            "--listen" => {
-                let v = value("--listen")?;
-                if v.trim().is_empty() {
-                    return Err(ArgError::Usage("--listen requires host:port".into()));
-                }
-                opts.listen = Some(v);
             }
             f if f.starts_with('-') => {
                 return Err(ArgError::Usage(format!("unknown flag '{f}'")));
@@ -731,10 +716,14 @@ fn cmd_bench(cfg: &v2::BenchConfig, opts: &BenchOpts) -> Result<(), String> {
         // medians.
         write_trace(t, "bench", out)?;
     }
-    if let (Some(reg), Some(out)) = (cfg.metrics.as_ref(), opts.metrics.as_deref()) {
+    if let Some(out) = opts.metrics.as_deref() {
         // Likewise: the histograms rode the untimed instrumented runs,
         // labeled workload/size/strategy, without touching the samples.
-        write_metrics(&reg.snapshot(), out)?;
+        let mut set = MetricSet::new();
+        for m in &measurements {
+            set.merge(&m.metrics);
+        }
+        write_metrics(&set, out)?;
     }
     if let Some(path) = &opts.out {
         std::fs::write(path, &doc).map_err(|e| format!("{path}: {e}"))?;
@@ -1049,64 +1038,29 @@ fn cmd_run(path: &str, preds: &[String], opts: &RunOpts) -> Result<(), String> {
         MonotonicEngine::with_options(&program, eval_options)
     });
     let mut provenance = None;
-    // Histogram recorder for `--metrics`: rides every sink-driven eval
-    // path as a fanout arm (by `&mut`, so it can be finished after the
-    // run). `--explain`'s provenance walk takes no sink, so that path
-    // writes a bare exposition.
-    let mut hist = opts
-        .metrics
-        .as_ref()
-        .map(|_| HistogramSink::new(&program, &[("strategy", "seminaive")]));
-    let eval_result: Result<(Model, Option<String>), String> =
-        run_phase(&mut phases, tr, "eval", || -> Result<_, String> {
-            if opts.stats {
-                let mut sink = Fanout(
-                    Fanout(
-                        tr.map(|t| SpanSink::new(&program, t.clone())),
-                        MetricsSink::new(&program, Strategy::SemiNaive),
-                    ),
-                    &mut hist,
-                );
-                let model = match &goal {
-                    Some(goal) => engine.evaluate_goal_with_sink(&Edb::new(), goal, &mut sink),
-                    None => engine.evaluate_with_sink(&Edb::new(), &mut sink),
-                }
+    // `--stats` and `--metrics` both read the one recorder. It rides the
+    // sink by `&mut`, so it can be read after the run. `--explain`'s
+    // provenance walk takes no sink, so without `--stats` that path
+    // writes an exposition of zero counters.
+    let mut metrics = (opts.stats || opts.metrics.is_some())
+        .then(|| MetricsSink::new(&program, Strategy::SemiNaive));
+    let eval_result: Result<Model, String> = run_phase(&mut phases, tr, "eval", || {
+        if opts.explain.is_some() && !opts.stats {
+            // Provenance capture runs its own walk; the phase spans
+            // still bracket it, but per-rule spans are not recorded.
+            let (model, prov) = engine
+                .evaluate_with_provenance(&Edb::new())
                 .map_err(|e| e.to_string())?;
-                Ok((model, Some(sink.0 .1.finish().render_human())))
-            } else if opts.explain.is_some() {
-                // Provenance capture runs its own walk; the phase spans
-                // still bracket it, but per-rule spans are not recorded.
-                let (model, prov) = engine
-                    .evaluate_with_provenance(&Edb::new())
-                    .map_err(|e| e.to_string())?;
-                provenance = Some(prov);
-                Ok((model, None))
-            } else if let Some(t) = tr {
-                let mut sink = Fanout(SpanSink::new(&program, t.clone()), &mut hist);
-                let model = match &goal {
-                    Some(goal) => engine.evaluate_goal_with_sink(&Edb::new(), goal, &mut sink),
-                    None => engine.evaluate_with_sink(&Edb::new(), &mut sink),
-                }
-                .map_err(|e| e.to_string())?;
-                Ok((model, None))
-            } else if hist.is_some() {
-                let model = match &goal {
-                    Some(goal) => engine.evaluate_goal_with_sink(&Edb::new(), goal, &mut hist),
-                    None => engine.evaluate_with_sink(&Edb::new(), &mut hist),
-                }
-                .map_err(|e| e.to_string())?;
-                Ok((model, None))
-            } else if let Some(goal) = &goal {
-                Ok((
-                    engine
-                        .evaluate_goal(&Edb::new(), goal)
-                        .map_err(|e| e.to_string())?,
-                    None,
-                ))
-            } else {
-                Ok((engine.evaluate(&Edb::new()).map_err(|e| e.to_string())?, None))
-            }
-        });
+            provenance = Some(prov);
+            return Ok(model);
+        }
+        let mut sink = Fanout(tr.map(|t| SpanSink::new(&program, t.clone())), &mut metrics);
+        match &goal {
+            Some(goal) => engine.evaluate_goal_with_sink(&Edb::new(), goal, &mut sink),
+            None => engine.evaluate_with_sink(&Edb::new(), &mut sink),
+        }
+        .map_err(|e| e.to_string())
+    });
     // Dump the timeline even when evaluation failed: the renderer closes
     // the spans an aborted run left open, so a non-terminating run's
     // trace shows exactly where the rounds went.
@@ -1115,11 +1069,13 @@ fn cmd_run(path: &str, preds: &[String], opts: &RunOpts) -> Result<(), String> {
     }
     // Same contract for the metrics: whatever the histograms saw before
     // the abort still gets written.
-    if let Some(out) = opts.metrics.as_deref() {
-        let set = hist.take().map(HistogramSink::finish).unwrap_or_default();
-        write_metrics(&set, out)?;
+    if let (Some(m), Some(out)) = (&metrics, opts.metrics.as_deref()) {
+        write_metrics(&m.metric_set(&[]), out)?;
     }
-    let (model, report) = eval_result?;
+    let model = eval_result?;
+    let report = metrics
+        .filter(|_| opts.stats)
+        .map(|m| m.finish().render_human());
     if let Some(goal) = &goal {
         // Answer the point query directly from the computed model. Under
         // `--optimize=demand` only the goal's derivation cone was
@@ -1267,20 +1223,6 @@ fn cmd_profile(path: &str, opts: &ProfileOpts) -> Result<(), String> {
     if let Some(t) = tracer.as_ref() {
         trace_heap_anchor(t);
     }
-    // `--metrics`/`--listen` both want histogram recording; `--listen`
-    // additionally binds the live endpoint before any evaluation runs,
-    // so scrapes during the fixpoint see round-barrier snapshots.
-    let want_hist = opts.metrics.is_some() || opts.listen.is_some();
-    let registry = opts.listen.as_ref().map(|_| Registry::new());
-    let server = match (&opts.listen, &registry) {
-        (Some(addr), Some(reg)) => {
-            let srv = MetricsServer::bind(addr, reg.clone())
-                .map_err(|e| format!("--listen {addr}: {e}"))?;
-            eprintln!("-- metrics: serving http://{}/metrics", srv.local_addr());
-            Some(srv)
-        }
-        _ => None,
-    };
     let mut all_metrics = MetricSet::new();
     let strategies: Vec<Strategy> = match opts.strategy {
         Some(s) => vec![s],
@@ -1305,16 +1247,9 @@ fn cmd_profile(path: &str, opts: &ProfileOpts) -> Result<(), String> {
         if let (Some(t), Some(name)) = (tracer.as_ref(), span) {
             t.begin(MAIN_LANE, "phase", name);
         }
-        let hist = want_hist.then(|| {
-            let h = HistogramSink::new(&program, &[("strategy", strategy.name())]);
-            match &registry {
-                Some(reg) => h.publish_to(reg.clone()),
-                None => h,
-            }
-        });
         let mut sink = Fanout(
             tracer.as_ref().map(|t| SpanSink::new(&program, t.clone())),
-            Fanout(MetricsSink::new(&program, strategy), hist),
+            MetricsSink::new(&program, strategy),
         );
         // Scope the allocator peak to this strategy's evaluation, so each
         // report's alloc_peak_bytes is a per-strategy high-water mark.
@@ -1325,9 +1260,9 @@ fn cmd_profile(path: &str, opts: &ProfileOpts) -> Result<(), String> {
         if let (Some(t), Some(name)) = (tracer.as_ref(), span) {
             t.end(MAIN_LANE, "phase", name);
         }
-        let Fanout(_span, Fanout(metrics, hist)) = sink;
-        let hist_set = hist.map(HistogramSink::finish);
-        if let Some(set) = &hist_set {
+        let Fanout(_span, metrics) = sink;
+        let set = opts.metrics.is_some().then(|| metrics.metric_set(&[]));
+        if let Some(set) = &set {
             all_metrics.merge(set);
         }
         if let Err(e) = eval_result {
@@ -1342,7 +1277,7 @@ fn cmd_profile(path: &str, opts: &ProfileOpts) -> Result<(), String> {
             return Err(e);
         }
         let mut report = metrics.finish();
-        if let Some(set) = &hist_set {
+        if let Some(set) = &set {
             report.histograms = set.blocks();
         }
         match opts.format {
@@ -1372,18 +1307,6 @@ fn cmd_profile(path: &str, opts: &ProfileOpts) -> Result<(), String> {
     }
     if let Some(out) = opts.metrics.as_deref() {
         write_metrics(&all_metrics, out)?;
-    }
-    if let Some(server) = server {
-        // Keep the endpoint up after the report: the registry holds every
-        // strategy's final snapshot, so dashboards (and the CI probe) can
-        // scrape at leisure. Ctrl-C ends the process.
-        eprintln!(
-            "-- metrics: still serving http://{}/metrics (interrupt to exit)",
-            server.local_addr()
-        );
-        loop {
-            std::thread::park();
-        }
     }
     Ok(())
 }

@@ -1127,71 +1127,6 @@ fn bench_metrics_labels_series_by_cell() {
     assert!(text.contains("p99"), "{text}");
 }
 
-/// Spawn `profile --listen 127.0.0.1:0`, scrape the live endpoint over a
-/// raw TCP socket, and kill the child (it serves until interrupted).
-#[cfg(target_os = "linux")]
-#[test]
-fn profile_listen_serves_live_openmetrics() {
-    use std::io::{BufRead, BufReader, Read, Write};
-
-    let bin = env!("CARGO_BIN_EXE_maglog");
-    let mut child = Command::new(bin)
-        .args([
-            "profile",
-            "--strategy=seminaive",
-            "--listen",
-            "127.0.0.1:0",
-            "programs/shortest_path.mgl",
-        ])
-        .current_dir(env!("CARGO_MANIFEST_DIR"))
-        .stdout(std::process::Stdio::null())
-        .stderr(std::process::Stdio::piped())
-        .spawn()
-        .expect("maglog binary spawns");
-
-    // The bound address is announced on stderr before evaluation starts.
-    let mut reader = BufReader::new(child.stderr.take().unwrap());
-    let addr = loop {
-        let mut line = String::new();
-        if reader.read_line(&mut line).unwrap() == 0 {
-            let _ = child.kill();
-            panic!("child exited before announcing the listen address");
-        }
-        if let Some(rest) = line.strip_prefix("-- metrics: serving http://") {
-            break rest.trim_end().trim_end_matches("/metrics").to_string();
-        }
-    };
-
-    // Poll until the run has published something and the response carries
-    // the round-duration family (the first snapshot may still be empty).
-    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
-    let body = loop {
-        let mut stream = std::net::TcpStream::connect(&addr).expect("endpoint accepts");
-        stream
-            .write_all(b"GET /metrics HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n")
-            .unwrap();
-        let mut response = String::new();
-        stream.read_to_string(&mut response).unwrap();
-        assert!(response.starts_with("HTTP/1.1 200 OK"), "{response}");
-        assert!(response.contains("application/openmetrics-text"), "{response}");
-        if response.contains("maglog_round_duration_seconds") {
-            break response;
-        }
-        if std::time::Instant::now() > deadline {
-            let _ = child.kill();
-            panic!("endpoint never served the round histogram: {response}");
-        }
-        std::thread::sleep(std::time::Duration::from_millis(50));
-    };
-    assert!(body.contains("strategy=\"seminaive\""), "{body}");
-    assert!(body.contains("# EOF"), "{body}");
-
-    // The server keeps running after the report — that is the contract —
-    // so the test must interrupt it.
-    child.kill().unwrap();
-    child.wait().unwrap();
-}
-
 #[test]
 fn non_monotonic_program_makes_check_fail() {
     let dir = std::env::temp_dir().join("maglog_cli_test");
