@@ -692,7 +692,7 @@ fn diff_strategy_profile(d: &mut Builder, strat: &str, b: &JsonValue, a: &JsonVa
 
     // Parallel section: workers/merges are deterministic; shard imbalance
     // (max/mean over shard_firings) summarizes the firing distribution;
-    // barrier_wait_nanos is wall clock and skipped.
+    // barrier_wait_nanos is a timing and skipped.
     let imbalance = |v: &JsonValue| -> Option<f64> {
         let shards = v.get("shard_firings")?.as_arr()?;
         let vals: Vec<f64> = shards.iter().filter_map(JsonValue::as_f64).collect();

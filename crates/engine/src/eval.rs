@@ -38,11 +38,9 @@ use maglog_datalog::{
     AggEq, AggFunc, Atom, BinOp, CmpOp, Expr, Literal, Pred, Program, Rule, Term, Var,
 };
 use crate::par::{self, FireTally};
-use crate::trace::{NameRef, Ph, MAIN_LANE};
 use std::cell::Cell;
 use std::collections::{BTreeSet, HashMap, HashSet};
 use std::sync::Arc;
-use std::time::Instant;
 
 /// Per-round dedup of aggregate-driver re-evaluations: one entry per
 /// (rule index, driver discriminator, seed binding).
@@ -221,11 +219,15 @@ impl<'p> MonotonicEngine<'p> {
         self.evaluate_inner(edb, sink, &mut NoCapture, Some(goal))
     }
 
-    /// Like [`evaluate`](Self::evaluate), additionally recording the
-    /// derivation DAG of every accepted insert/improvement. The greedy
-    /// strategy settles keys outside the `T_P` apply loop, so it is
-    /// clamped to semi-naive here; the model is identical either way.
-    pub fn evaluate_with_provenance(&self, edb: &Edb) -> Result<(Model, Provenance), EvalError> {
+    /// Like [`evaluate_with_sink`](Self::evaluate_with_sink), additionally
+    /// recording the derivation DAG of every accepted insert/improvement.
+    /// The greedy strategy settles keys outside the `T_P` apply loop, so it
+    /// is clamped to semi-naive here; the model is identical either way.
+    pub fn evaluate_with_provenance<S: EventSink>(
+        &self,
+        edb: &Edb,
+        sink: &mut S,
+    ) -> Result<(Model, Provenance), EvalError> {
         let mut options = self.options.clone();
         if options.strategy == Strategy::Greedy {
             options.strategy = Strategy::SemiNaive;
@@ -239,7 +241,7 @@ impl<'p> MonotonicEngine<'p> {
             options,
         };
         let mut cap = ProvenanceTracker::new(self.program);
-        let model = engine.evaluate_inner(edb, &mut NoopSink, &mut cap, None)?;
+        let model = engine.evaluate_inner(edb, sink, &mut cap, None)?;
         Ok((model, cap.finish()))
     }
 
@@ -840,10 +842,11 @@ impl<'p> MonotonicEngine<'p> {
     /// (`--parallel[=N]`). Each thread runs [`Self::fire_shard`] for its
     /// shard against the shared database, with a [`FireTally`] sink, into a
     /// local round buffer. At the barrier the shards' counters fold into
-    /// the component totals, their firings and worker telemetry replay into
-    /// `sink` in shard order, and their buffers merge through
-    /// [`buffer_derivation`], the rule one buffer applies to a repeated key,
-    /// so the merged buffer is the one-shard round's buffer.
+    /// the component totals and their buffers merge, in shard order,
+    /// through [`buffer_derivation`], the rule one buffer applies to a
+    /// repeated key, so the merged buffer is the one-shard round's buffer.
+    /// Each shard's report then reaches `sink` once, in the round's
+    /// [`Event::ParallelRound`].
     #[allow(clippy::too_many_arguments)]
     fn fire_sharded<S: EventSink>(
         &self,
@@ -860,20 +863,16 @@ impl<'p> MonotonicEngine<'p> {
         stats: &mut EvalStats,
         sink: &mut S,
     ) -> Result<Derived, EvalError> {
-        // Span and latency recording are opt-in per sink; `None` (the
-        // default) keeps every clock read out of the shards and the barrier.
-        let tracer = sink.worker_tracer();
+        // Clock reads are opt-in per sink; `None` (the default) keeps every
+        // one out of the shards and the barrier.
         let meter = sink.worker_meter();
         let shard_rounds: Vec<Result<ShardRound, EvalError>> = std::thread::scope(|s| {
             let handles: Vec<_> = (0..shards)
                 .map(|me| {
-                    let tracer = tracer.clone();
                     let meter = meter.clone();
                     s.spawn(move || {
-                        let fire_start = tracer.as_ref().map(|t| t.now());
-                        let meter_start = meter.as_ref().map(|m| m.now_nanos());
+                        let mut tally = FireTally::new(me, meter);
                         let mut pushes = vec![0u64; execs.len()];
-                        let mut tally = FireTally::with_meter(meter.clone());
                         let mut stats = EvalStats::default();
                         let agg = AggCounters::default();
                         let ctx = Ctx {
@@ -901,31 +900,12 @@ impl<'p> MonotonicEngine<'p> {
                         )?;
                         stats.pruned += buffer.pruned;
                         let entries = buffer.map;
-                        let finished = Instant::now();
-                        // Read before the thread ends so the span cannot
-                        // include the join; the barrier clamps wait spans
-                        // to start no earlier than this end.
-                        let fire_span = fire_start
-                            .map(|s| (s, tracer.as_ref().map(|t| t.now()).unwrap_or(s)));
-                        let metrics = meter.as_ref().map(|m| {
-                            let end = m.now_nanos();
-                            crate::metrics::WorkerSample {
-                                worker: me,
-                                fire_nanos: end.saturating_sub(meter_start.unwrap_or(end)),
-                                fire_end_nanos: end,
-                                wait_nanos: 0,
-                                rule_nanos: tally.take_rule_nanos(),
-                            }
-                        });
                         Ok(ShardRound {
                             entries,
-                            finished,
-                            fire_span,
-                            metrics,
                             pushes,
-                            fired: tally.counts,
                             stats,
                             agg,
+                            sample: tally.finish(),
                         })
                     })
                 })
@@ -937,70 +917,23 @@ impl<'p> MonotonicEngine<'p> {
         });
         // The lowest shard's error wins: deterministic for a fixed shard
         // count.
-        let mut results = shard_rounds.into_iter().collect::<Result<Vec<_>, _>>()?;
-        // Straggler wait: from the first shard finishing to the last.
-        let first = results
-            .iter()
-            .map(|r| r.finished)
-            .min()
-            .expect("at least one shard");
-        let barrier_wait_nanos = results
-            .iter()
-            .map(|r| r.finished.duration_since(first).as_nanos() as u64)
-            .max()
-            .unwrap_or(0);
-        let barrier_done = tracer.as_ref().map(|t| t.now());
-        let meter_done = meter.as_ref().map(|m| m.now_nanos());
-        // Worker lanes: each shard's fire span plus the wait from its last
-        // firing to the barrier, pushed in shard order so parallel traces
-        // are push-order deterministic.
-        if let (Some(t), Some(done)) = (&tracer, barrier_done) {
-            for (w, r) in results.iter().enumerate() {
-                if let Some(span) = r.fire_span {
-                    t.worker_round_spans(w, span, done);
-                }
-            }
-        }
-        // Worker latency samples: fill in the barrier wait and merge each
-        // shard's local histograms into the sink, in shard order.
-        if let Some(done) = meter_done {
-            for r in &mut results {
-                if let Some(mut sample) = r.metrics.take() {
-                    sample.wait_nanos = done.saturating_sub(sample.fire_end_nanos);
-                    sink.on(&Event::WorkerSample(&sample));
-                }
-            }
-        }
-        for r in &results {
+        let results = shard_rounds.into_iter().collect::<Result<Vec<_>, _>>()?;
+        let collect = meter.as_ref().map(|m| m.now_nanos());
+        let mut samples = Vec::with_capacity(shards);
+        let mut merged = Derived::new();
+        let mut merges = 0u64;
+        for r in results {
             stats.firings += r.stats.firings;
             stats.pruned += r.stats.pruned;
             for (total, n) in rule_pushes.iter_mut().zip(&r.pushes) {
                 *total += n;
             }
             agg_counters.absorb(&r.agg);
-        }
-        // Replay rule-fire events in exec order so metrics sinks count
-        // firings exactly as the one-shard round does (span sinks already
-        // hold the real timings on the worker lanes).
-        for exec in execs {
-            let fired: u64 = results
-                .iter()
-                .map(|r| r.fired.get(&exec.ri).copied().unwrap_or(0))
-                .sum();
-            if fired > 0 {
-                sink.on(&Event::Firings {
-                    rule: exec.ri,
-                    count: fired,
-                });
+            let mut sample = r.sample;
+            if let (Some(readings), Some(collect)) = (&mut sample.readings, collect) {
+                readings.collect = collect;
             }
-        }
-        let shard_sizes: Vec<usize> = results.iter().map(|r| r.stats.firings as usize).collect();
-
-        // Merge the shard buffers in shard order.
-        let merge_start = tracer.as_ref().map(|t| t.now());
-        let mut merged = Derived::new();
-        let mut merges = 0u64;
-        for r in results {
+            samples.push(sample);
             for ((pred, key), entry) in r.entries {
                 let repeated = buffer_derivation(
                     self.program,
@@ -1013,17 +946,11 @@ impl<'p> MonotonicEngine<'p> {
                 merges += repeated as u64;
             }
         }
-        if let (Some(t), Some(start)) = (&tracer, merge_start) {
-            let end = t.now();
-            t.push_at(start, MAIN_LANE, Ph::Begin, "worker", NameRef::Static("merge"), Vec::new());
-            t.push_at(end, MAIN_LANE, Ph::End, "worker", NameRef::Static("merge"), Vec::new());
-        }
         sink.on(&Event::ParallelRound {
             round,
             workers: shards,
-            shard_sizes: &shard_sizes,
             merges,
-            barrier_wait_nanos,
+            samples: &samples,
         });
         Ok(merged)
     }
@@ -1067,7 +994,9 @@ impl<'p> MonotonicEngine<'p> {
             }
         }
 
-        // Initial full pass over the (LDB-only) database.
+        // Initial full pass over the (LDB-only) database. Each pop then
+        // reuses `delta` for its one settled tuple.
+        let mut delta: HashMap<Pred, Vec<Arc<Tuple>>> = HashMap::new();
         {
             let ctx = Ctx {
                 program: self.program,
@@ -1075,8 +1004,7 @@ impl<'p> MonotonicEngine<'p> {
                 agg: agg_counters,
             };
             let mut derived = RoundBuffer::new(self.program, false, false, demand, rule_pushes);
-            let no_delta = HashMap::new();
-            self.fire_shard(&ctx, execs, true, &no_delta, (0, 1), &mut derived, stats, sink, cap)?;
+            self.fire_shard(&ctx, execs, true, &delta, (0, 1), &mut derived, stats, sink, cap)?;
             stats.derivations += derived.map.len() as u64;
             stats.pruned += derived.pruned;
             for ((pred, key), entry) in derived.map {
@@ -1124,36 +1052,17 @@ impl<'p> MonotonicEngine<'p> {
             db.relation_mut(pred)
                 .insert_arc(key.clone(), Some(Value::Num(cost)));
 
-            // Fire the semi-naive drivers for this single settled atom.
+            // Fire the semi-naive drivers for this single settled atom: a
+            // one-shard round over a one-tuple delta.
+            delta.values_mut().for_each(Vec::clear);
+            delta.entry(pred).or_default().push(key);
             let mut derived = RoundBuffer::new(self.program, false, false, demand, rule_pushes);
-            {
-                let ctx = Ctx {
-                    program: self.program,
-                    db,
-                    agg: agg_counters,
-                };
-                let mut seen_seeds = SeenSeeds::new();
-                for (ei, exec) in execs.iter().enumerate() {
-                    for driver in &exec.drivers {
-                        if driver.pred != pred {
-                            continue;
-                        }
-                        self.fire_driver(
-                            &ctx,
-                            ei,
-                            exec,
-                            driver,
-                            &key,
-                            &mut seen_seeds,
-                            &mut derived,
-                            stats,
-                            sink,
-                            cap,
-                            (0, 1),
-                        )?;
-                    }
-                }
-            }
+            let ctx = Ctx {
+                program: self.program,
+                db,
+                agg: agg_counters,
+            };
+            self.fire_shard(&ctx, execs, false, &delta, (0, 1), &mut derived, stats, sink, cap)?;
             let derived_count = derived.map.len();
             stats.derivations += derived_count as u64;
             stats.pruned += derived.pruned;
@@ -1446,27 +1355,17 @@ fn finish_component<S: EventSink>(
     });
 }
 
-/// One shard's contribution to a round barrier: its round buffer plus the
-/// telemetry the barrier folds into the component totals and replays into
-/// the caller's sink.
+/// One shard's contribution to a round barrier: its round buffer, the
+/// counters the barrier folds into the component totals, and its report
+/// for the caller's sink.
 struct ShardRound {
     entries: Derived,
-    /// When the firing phase ended; the spread across shards is the
-    /// straggler wait.
-    finished: Instant,
-    /// `(start, end)` clock readings around the firing phase, present
-    /// only when the sink opted into span tracing.
-    fire_span: Option<(u64, u64)>,
-    /// Worker-local latency measurements, present only when the sink
-    /// opted into metering ([`EventSink::worker_meter`]).
-    metrics: Option<crate::metrics::WorkerSample>,
     /// Per-exec-slot head derivations this round.
     pushes: Vec<u64>,
-    /// Firings per program rule index (event replay).
-    fired: HashMap<usize, u64>,
     /// This round's firings and pruned derivations.
     stats: EvalStats,
     agg: AggCounters,
+    sample: crate::metrics::WorkerSample,
 }
 
 /// Build the relaxation plan for an aggregate at body index `li` if the
@@ -3508,15 +3407,19 @@ mod tests {
         impl EventSink for ParSpy {
             fn on(&mut self, event: &Event<'_>) {
                 if let Event::ParallelRound {
-                    workers,
-                    shard_sizes,
-                    ..
+                    workers, samples, ..
                 } = *event
                 {
                     self.rounds += 1;
                     self.workers.push(workers);
-                    assert_eq!(shard_sizes.len(), workers);
-                    self.firings_via_shards += shard_sizes.iter().sum::<usize>();
+                    assert_eq!(samples.len(), workers);
+                    // One report per shard, in shard order, unmetered.
+                    for (w, sample) in samples.iter().enumerate() {
+                        assert_eq!(sample.worker, w);
+                        assert_eq!(sample.readings, None);
+                    }
+                    let fired: u64 = samples.iter().map(|s| s.firings()).sum();
+                    self.firings_via_shards += fired as usize;
                 }
             }
         }

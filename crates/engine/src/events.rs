@@ -15,7 +15,8 @@
 //! Wall-clock is *not* measured by the engine. Sinks that want timings
 //! bracket [`Event::FireStart`] / [`Event::FireEnd`] with their own
 //! [`Clock`], which is injectable ([`ManualClock`]) so tests pin
-//! deterministic values.
+//! deterministic values. Parallel shards read the clock only through the
+//! meter a sink hands out ([`EventSink::worker_meter`]).
 
 use crate::eval::Strategy;
 use crate::interp::{IndexStats, RelationMemory, Tuple};
@@ -40,8 +41,8 @@ pub enum InsertOutcome {
 /// Event order per component: `ComponentStart`, then per round
 /// `RoundStart` → (`FireStart`/`FireEnd`)* → (`Insert`)* → (`Delta`)* →
 /// `RoundEnd`, where a sharded round (`--parallel`) replaces the firing
-/// pairs with (`WorkerSample`)* (`Firings`)* `ParallelRound`; then once
-/// `RuleDerivations`*,
+/// pairs with one `ParallelRound` that carries every shard's report; then
+/// once `RuleDerivations`*,
 /// `AggregateTotals`, `Pruned` (when non-zero), `ComponentEnd`. After all
 /// components, `IndexStats` (and, on request, `RelationMemory`) fires once
 /// per touched predicate. Greedy components treat each queue pop as a
@@ -63,12 +64,6 @@ pub enum Event<'a> {
     FireStart { rule: usize },
     /// The matching rule firing completed.
     FireEnd { rule: usize },
-    /// `count` completed firings of `rule` whose individual begin/end
-    /// interleaving is unavailable: the parallel barrier replays the
-    /// shards' tallies through this, in exec order. Counting sinks add
-    /// `count`; span sinks ignore it, since the real spans live on the
-    /// worker lanes.
-    Firings { rule: usize, count: u64 },
     /// One buffered derivation was applied to the database. `rule` is the
     /// program rule index that first derived the tuple this round.
     Insert {
@@ -85,18 +80,18 @@ pub enum Event<'a> {
         derivations: usize,
         changed: usize,
     },
-    /// Parallel-evaluator barrier telemetry for one round (`--parallel`
-    /// only; fired between the firing phase and the apply phase).
-    /// `shard_sizes[w]` is worker `w`'s firing count, `merges` the number
-    /// of same-key collisions combined across shards at the barrier, and
-    /// `barrier_wait_nanos` the time from the first shard finishing its
-    /// firing phase to the last one finishing (shard imbalance).
+    /// The one barrier record of a sharded round (`--parallel` only;
+    /// fired between the firing phase and the apply phase, in place of
+    /// the round's firing pairs). `merges` counts the same-key collisions
+    /// combined across shards at the barrier; `samples[w]` is worker `w`'s
+    /// report: its firings and, when a sink handed out a meter
+    /// ([`EventSink::worker_meter`]), its latency histograms and clock
+    /// readings.
     ParallelRound {
         round: usize,
         workers: usize,
-        shard_sizes: &'a [usize],
         merges: u64,
-        barrier_wait_nanos: u64,
+        samples: &'a [crate::metrics::WorkerSample],
     },
     /// Total head derivations (including same-key re-derivations) a rule
     /// attempted over the whole component. Fired once per rule at
@@ -142,15 +137,10 @@ pub enum Event<'a> {
     /// [`EventSink::wants_relation_memory`] returns true, since the
     /// deep-size walk behind it is O(database).
     RelationMemory { pred: Pred, memory: RelationMemory },
-    /// One worker's round-local measurements, delivered by the parallel
-    /// orchestrator at the round barrier (only when
-    /// [`EventSink::worker_meter`] returned `Some`). Workers record into
-    /// local histograms; this merge point is the only synchronization.
-    WorkerSample(&'a crate::metrics::WorkerSample),
 }
 
 /// Receiver for evaluator instrumentation events: one [`EventSink::on`]
-/// hook plus three opt-in queries the evaluator asks before doing work
+/// hook plus two opt-in queries the evaluator asks before doing work
 /// that only some sinks want.
 pub trait EventSink {
     /// Observe one event.
@@ -160,17 +150,11 @@ pub trait EventSink {
     fn wants_relation_memory(&self) -> bool {
         false
     }
-    /// Opt-in handle for worker-side span recording under `--parallel`.
-    /// The round loop asks the sink for a [`crate::trace::Tracer`] once
-    /// per sharded round; `None` (the default) keeps the shards free of
-    /// any clock reads, preserving the zero-cost-when-off property.
-    fn worker_tracer(&self) -> Option<crate::trace::Tracer> {
-        None
-    }
-    /// Opt-in handle for worker-side latency recording under `--parallel`
-    /// — the metrics analogue of [`EventSink::worker_tracer`]. `None`
-    /// (the default) keeps workers free of clock reads and histogram
-    /// bookkeeping.
+    /// Opt-in clock for the shards under `--parallel`, asked once per
+    /// sharded round: each worker's fire start, fire end and firings, and
+    /// the barrier collect, are read on it and reported in
+    /// [`Event::ParallelRound`]. `None` (the default) keeps the shards and
+    /// the barrier free of clock reads and histogram bookkeeping.
     fn worker_meter(&self) -> Option<crate::metrics::Meter> {
         None
     }
@@ -186,7 +170,9 @@ impl EventSink for NoopSink {
 }
 
 /// Broadcast every event to two sinks (e.g. a span and a metrics sink in
-/// the same run). Nest for more than two.
+/// the same run). Nest for more than two. The shards are timed on the
+/// first arm's meter, so a span sink goes first: its worker lanes then
+/// share its clock, and both arms read the same barrier record.
 #[derive(Debug)]
 pub struct Fanout<A, B>(pub A, pub B);
 
@@ -197,9 +183,6 @@ impl<A: EventSink, B: EventSink> EventSink for Fanout<A, B> {
     }
     fn wants_relation_memory(&self) -> bool {
         self.0.wants_relation_memory() || self.1.wants_relation_memory()
-    }
-    fn worker_tracer(&self) -> Option<crate::trace::Tracer> {
-        self.0.worker_tracer().or_else(|| self.1.worker_tracer())
     }
     fn worker_meter(&self) -> Option<crate::metrics::Meter> {
         self.0.worker_meter().or_else(|| self.1.worker_meter())
@@ -219,9 +202,6 @@ impl<S: EventSink> EventSink for Option<S> {
     fn wants_relation_memory(&self) -> bool {
         self.as_ref().is_some_and(EventSink::wants_relation_memory)
     }
-    fn worker_tracer(&self) -> Option<crate::trace::Tracer> {
-        self.as_ref().and_then(EventSink::worker_tracer)
-    }
     fn worker_meter(&self) -> Option<crate::metrics::Meter> {
         self.as_ref().and_then(EventSink::worker_meter)
     }
@@ -236,9 +216,6 @@ impl<S: EventSink + ?Sized> EventSink for &mut S {
     }
     fn wants_relation_memory(&self) -> bool {
         (**self).wants_relation_memory()
-    }
-    fn worker_tracer(&self) -> Option<crate::trace::Tracer> {
-        (**self).worker_tracer()
     }
     fn worker_meter(&self) -> Option<crate::metrics::Meter> {
         (**self).worker_meter()
@@ -328,23 +305,14 @@ mod tests {
         assert!(b >= a);
     }
 
-    /// Records every event as text. The barrier wait is wall-clock, so it
-    /// is left out; every other field is deterministic.
+    /// Records every event as text. It hands out no meter, so the barrier
+    /// record carries no clock readings and every field is deterministic.
     #[derive(Default)]
     struct Recorder(Vec<String>);
 
     impl EventSink for Recorder {
         fn on(&mut self, event: &Event<'_>) {
-            self.0.push(match *event {
-                Event::ParallelRound {
-                    round,
-                    workers,
-                    shard_sizes,
-                    merges,
-                    ..
-                } => format!("ParallelRound {round} {workers} {shard_sizes:?} {merges}"),
-                _ => format!("{event:?}"),
-            });
+            self.0.push(format!("{event:?}"));
         }
     }
 
@@ -394,10 +362,23 @@ mod tests {
             .unwrap();
         assert_eq!(a.0, b.0, "both fanout arms see one sequence");
         let alone = alone.canonical();
-        assert!(alone.iter().any(|e| e.starts_with("Firings")), "{alone:?}");
+        // Each barrier record carries both shards' reports, and the
+        // shards' firings reach the sink through them: the full first
+        // round fires each rule once, on its own shard.
+        let rounds: Vec<_> = alone
+            .iter()
+            .filter(|e| e.starts_with("ParallelRound"))
+            .collect();
+        assert!(!rounds.is_empty(), "{alone:?}");
         assert!(
-            alone.iter().any(|e| e.starts_with("ParallelRound")),
-            "{alone:?}"
+            rounds
+                .iter()
+                .all(|e| e.contains("worker: 0") && e.contains("worker: 1")),
+            "{rounds:?}"
+        );
+        assert!(
+            rounds.iter().any(|e| e.contains("rules: [(1")),
+            "{rounds:?}"
         );
         assert_eq!(a.canonical(), alone);
 
@@ -406,13 +387,12 @@ mod tests {
         let mut metrics = MetricsSink::new(&p, Strategy::SemiNaive);
         let mut spans = SpanSink::new(&p, Tracer::new());
         assert!(Fanout(NoopSink, Some(&mut metrics)).wants_relation_memory());
-        assert!(Fanout(&mut spans, NoopSink).worker_tracer().is_some());
+        assert!(Fanout(&mut spans, NoopSink).worker_meter().is_some());
         assert!(Fanout(NoopSink, Fanout(None::<NoopSink>, &mut metrics))
             .worker_meter()
             .is_some());
         let off = Fanout(Some(NoopSink), Fanout(None::<MetricsSink>, &mut NoopSink));
         assert!(!off.wants_relation_memory());
-        assert!(off.worker_tracer().is_none());
         assert!(off.worker_meter().is_none());
     }
 }

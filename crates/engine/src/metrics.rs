@@ -4,12 +4,13 @@
 //! them while an evaluation runs is [`crate::profile::MetricsSink`].
 //!
 //! The histogram mirrors the `Accumulator::merge` discipline from the
-//! sharded evaluator: workers record into *worker-local* histograms and
-//! the round barrier merges them ([`Event::WorkerSample`]), so
-//! `--parallel` runs never contend on a shared collector. Merging is
-//! lossless — bucket counts add, min/max/count/sum combine — so the
-//! merged distribution is exactly what one sequential recorder would
-//! have held.
+//! sharded evaluator: workers record into *worker-local* histograms that
+//! travel in their [`WorkerSample`] inside the round's one barrier record
+//! ([`crate::events::Event::ParallelRound`]), and the recorder merges them
+//! there, so `--parallel` runs never contend on a shared collector.
+//! Merging is lossless — bucket counts add, min/max/count/sum combine —
+//! so the merged distribution is exactly what one sequential recorder
+//! would have held.
 //!
 //! Exposition is OpenMetrics 1.0 text ([`MetricSet::render_openmetrics`]),
 //! and a line parser for the same dialect lives here too
@@ -319,20 +320,7 @@ impl MetricSet {
         fam.series.insert(labels, Metric::Gauge(value));
     }
 
-    /// Record one value into a histogram series.
-    pub fn observe(&mut self, name: &str, help: &str, unit: Unit, labels: Labels, value: u64) {
-        let fam = self.family_mut(name, MetricKind::Histogram, help, unit);
-        match fam
-            .series
-            .entry(labels)
-            .or_insert_with(|| Metric::Histogram(Histogram::new()))
-        {
-            Metric::Histogram(h) => h.record(value),
-            _ => unreachable!("histogram family holds histograms"),
-        }
-    }
-
-    /// Merge a whole histogram into a series (the barrier path).
+    /// Merge a whole histogram into a series.
     pub fn merge_histogram(
         &mut self,
         name: &str,
@@ -457,14 +445,6 @@ impl MetricSet {
 
     /// Render the set as OpenMetrics 1.0 text (terminated by `# EOF`).
     pub fn render_openmetrics(&self) -> String {
-        let mut out = String::new();
-        for (name, fam) in &self.families {
-            let _ = writeln!(out, "# TYPE {name} {}", fam.kind.name());
-            if fam.unit != Unit::None {
-                let _ = writeln!(out, "# UNIT {name} {}", fam.unit.suffix());
-            }
-            let _ = writeln!(out, "# HELP {name} {}", escape_help(&fam.help));
-        }
         // Samples family-by-family, in the same order as the metadata —
         // OpenMetrics requires all of a family's lines to be contiguous,
         // so re-walk via `samples()` grouped by family prefix.
@@ -545,10 +525,10 @@ pub struct HistogramBlock {
     pub max: u64,
 }
 
-/// A cheap shared clock handle: the one clock of
-/// [`crate::profile::MetricsSink`], which parallel workers also use to
-/// time their shard locally (the metrics analogue of
-/// [`crate::events::EventSink::worker_tracer`]).
+/// A cheap shared clock handle: the one clock of a recording sink
+/// ([`crate::profile::MetricsSink`], or a [`crate::trace::Tracer`]), which
+/// parallel workers also read to time their shard locally
+/// ([`crate::events::EventSink::worker_meter`]).
 #[derive(Clone)]
 pub struct Meter {
     clock: Arc<dyn Clock + Send + Sync>,
@@ -574,23 +554,38 @@ impl std::fmt::Debug for Meter {
     }
 }
 
-/// One worker's round-local measurements, merged into the orchestrator's
-/// sink at the round barrier ([`Event::WorkerSample`]).
+/// One shard's report of one sharded round, built on the worker and
+/// delivered once, inside the round's
+/// [`crate::events::Event::ParallelRound`]. Sinks derive every worker
+/// view — firing counts, latency histograms, lanes, barrier wait — from it.
 #[derive(Clone, Debug, Default)]
 pub struct WorkerSample {
     pub worker: usize,
-    /// Firing-phase duration by the worker's [`Meter`].
-    pub fire_nanos: u64,
-    /// Meter reading when the firing phase ended; the orchestrator
-    /// derives `wait_nanos` from this and its own barrier-collect
-    /// reading.
-    pub fire_end_nanos: u64,
-    /// Barrier wait: collect time minus `fire_end_nanos` (filled in by
-    /// the orchestrator before the sink sees the sample).
-    pub wait_nanos: u64,
-    /// Worker-local per-rule firing-latency histograms, keyed by program
-    /// rule index.
-    pub rule_nanos: Vec<(usize, Histogram)>,
+    /// Indexed by program rule index: the shard's firing count of the rule
+    /// and, when metered, their latency histogram (empty otherwise). Rules
+    /// past the highest one the shard fired are absent.
+    pub rules: Vec<(u64, Histogram)>,
+    /// Meter readings, present only when the sink handed out a meter.
+    pub readings: Option<BarrierReadings>,
+}
+
+impl WorkerSample {
+    /// The shard's firings over every rule.
+    pub fn firings(&self) -> u64 {
+        self.rules.iter().map(|(n, _)| n).sum()
+    }
+}
+
+/// A worker's [`Meter`] readings for one sharded round.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct BarrierReadings {
+    /// The worker started its firing phase.
+    pub fire_start: u64,
+    /// The worker finished its firing phase.
+    pub fire_end: u64,
+    /// The orchestrator had collected every shard (the same reading in
+    /// every sample of a round).
+    pub collect: u64,
 }
 
 // ---------------------------------------------------------------------

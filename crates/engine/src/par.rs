@@ -13,9 +13,9 @@
 //! repeated push, so the merged buffer is the one-shard buffer.
 
 use crate::events::{Event, EventSink};
+use crate::metrics::{BarrierReadings, Meter, WorkerSample};
 use crate::value::Value;
 use maglog_datalog::Var;
-use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 
 /// Worker count actually available on this machine (the `--parallel`
@@ -57,36 +57,54 @@ pub(crate) fn shard_of(
     (h.finish() % workers as u64) as usize
 }
 
-/// Worker-side event sink: counts rule firings per program rule index so
-/// the barrier can replay them into the real sink. Shard threads cannot
-/// share the caller's sink (it is `&mut` on the calling thread), and
-/// counting sinks only need the totals. When the caller's sink hands out a
-/// [`Meter`](crate::metrics::Meter), the tally additionally times each
-/// firing into worker-local [`Histogram`](crate::metrics::Histogram)s —
-/// per-firing *ordering* is meaningless under interleaving, but the
-/// latency *distribution* is exactly what the metrics sink wants, and
-/// histograms merge losslessly at the barrier.
-#[derive(Debug, Default)]
+/// Worker-side event sink: builds the shard's [`WorkerSample`] for the
+/// round's barrier record. Shard threads cannot share the caller's sink
+/// (it is `&mut` on the calling thread), so each counts its firings per
+/// program rule. When the caller's sink hands out a [`Meter`], the tally
+/// also reads it around the firing phase and times each firing into a
+/// worker-local [`Histogram`](crate::metrics::Histogram) — per-firing
+/// *ordering* is meaningless under interleaving, but the latency
+/// *distribution* is exactly what the sinks want, and histograms merge
+/// losslessly.
+#[derive(Debug)]
 pub(crate) struct FireTally {
-    pub(crate) counts: HashMap<usize, u64>,
-    meter: Option<crate::metrics::Meter>,
+    meter: Option<Meter>,
     started: u64,
-    pub(crate) rule_nanos: HashMap<usize, crate::metrics::Histogram>,
+    sample: WorkerSample,
 }
 
 impl FireTally {
-    pub(crate) fn with_meter(meter: Option<crate::metrics::Meter>) -> FireTally {
+    /// Open worker `worker`'s firing phase (reading the meter, if any).
+    pub(crate) fn new(worker: usize, meter: Option<Meter>) -> FireTally {
+        let readings = meter.as_ref().map(|m| BarrierReadings {
+            fire_start: m.now_nanos(),
+            ..BarrierReadings::default()
+        });
         FireTally {
             meter,
-            ..FireTally::default()
+            started: 0,
+            sample: WorkerSample {
+                worker,
+                rules: Vec::new(),
+                readings,
+            },
         }
     }
 
-    /// Drain the timed histograms (empty when unmetered).
-    pub(crate) fn take_rule_nanos(&mut self) -> Vec<(usize, crate::metrics::Histogram)> {
-        let mut v: Vec<_> = std::mem::take(&mut self.rule_nanos).into_iter().collect();
-        v.sort_by_key(|(ri, _)| *ri);
-        v
+    /// Close the firing phase; the orchestrator stamps the barrier's
+    /// `collect` reading.
+    pub(crate) fn finish(mut self) -> WorkerSample {
+        if let (Some(m), Some(r)) = (&self.meter, &mut self.sample.readings) {
+            r.fire_end = m.now_nanos();
+        }
+        self.sample
+    }
+
+    fn rule(&mut self, rule: usize) -> &mut (u64, crate::metrics::Histogram) {
+        if self.sample.rules.len() <= rule {
+            self.sample.rules.resize_with(rule + 1, Default::default);
+        }
+        &mut self.sample.rules[rule]
     }
 }
 
@@ -94,7 +112,7 @@ impl EventSink for FireTally {
     fn on(&mut self, event: &Event<'_>) {
         match *event {
             Event::FireStart { rule } => {
-                *self.counts.entry(rule).or_insert(0) += 1;
+                self.rule(rule).0 += 1;
                 if let Some(m) = &self.meter {
                     self.started = m.now_nanos();
                 }
@@ -102,7 +120,7 @@ impl EventSink for FireTally {
             Event::FireEnd { rule } => {
                 if let Some(m) = &self.meter {
                     let elapsed = m.now_nanos().saturating_sub(self.started);
-                    self.rule_nanos.entry(rule).or_default().record(elapsed);
+                    self.rule(rule).1.record(elapsed);
                 }
             }
             _ => {}
@@ -146,34 +164,38 @@ mod tests {
 
     #[test]
     fn fire_tally_counts_per_rule() {
-        let mut t = FireTally::default();
+        let mut t = FireTally::new(1, None);
         t.on(&Event::FireStart { rule: 3 });
         t.on(&Event::FireStart { rule: 3 });
         t.on(&Event::FireStart { rule: 5 });
         t.on(&Event::FireEnd { rule: 3 }); // ends are not counted
-        assert_eq!(t.counts.get(&3), Some(&2));
-        assert_eq!(t.counts.get(&5), Some(&1));
-        assert_eq!(t.counts.get(&0), None);
-        // Unmetered: no latency histograms accumulate.
-        assert!(t.take_rule_nanos().is_empty());
+        let sample = t.finish();
+        assert_eq!(sample.worker, 1);
+        assert_eq!(sample.rules[3].0, 2);
+        assert_eq!(sample.rules[5].0, 1);
+        assert_eq!(sample.rules[0].0, 0);
+        assert_eq!(sample.firings(), 3);
+        // Unmetered: no readings and no latency histograms.
+        assert_eq!(sample.readings, None);
+        assert!(sample.rules.iter().all(|(_, h)| h.is_empty()));
     }
 
     #[test]
     fn metered_fire_tally_times_each_firing() {
         use crate::events::ManualClock;
-        use crate::metrics::Meter;
         use std::sync::Arc;
         let meter = Meter::with_clock(Arc::new(ManualClock::with_step(10)));
-        let mut t = FireTally::with_meter(Some(meter));
-        t.on(&Event::FireStart { rule: 3 }); // clock: 0
-        t.on(&Event::FireEnd { rule: 3 }); // clock: 10 → elapsed 10
-        t.on(&Event::FireStart { rule: 5 }); // clock: 20
-        t.on(&Event::FireEnd { rule: 5 }); // clock: 30 → elapsed 10
-        assert_eq!(t.counts.get(&3), Some(&1));
-        let nanos = t.take_rule_nanos();
-        assert_eq!(nanos.len(), 2);
-        assert_eq!(nanos[0].0, 3);
-        assert_eq!(nanos[0].1.max(), Some(10));
-        assert_eq!(nanos[1].1.count(), 1);
+        let mut t = FireTally::new(0, Some(meter)); // clock: 0
+        t.on(&Event::FireStart { rule: 3 }); // clock: 10
+        t.on(&Event::FireEnd { rule: 3 }); // clock: 20 → elapsed 10
+        t.on(&Event::FireStart { rule: 5 }); // clock: 30
+        t.on(&Event::FireEnd { rule: 5 }); // clock: 40 → elapsed 10
+        let sample = t.finish(); // clock: 50
+        assert_eq!(sample.rules[3].0, 1);
+        assert_eq!(sample.rules[3].1.max(), Some(10));
+        assert_eq!(sample.rules[5].1.count(), 1);
+        assert!(sample.rules[4].1.is_empty());
+        let r = sample.readings.expect("metered");
+        assert_eq!((r.fire_start, r.fire_end, r.collect), (0, 50, 0));
     }
 }

@@ -30,7 +30,7 @@ use crate::eval::Strategy;
 use crate::events::{Clock, Event, EventSink, InsertOutcome};
 use crate::interp::{IndexStats, RelationMemory};
 use crate::jsonish::json_str;
-use crate::metrics::{Histogram, HistogramBlock, Labels, Meter, MetricSet, Unit};
+use crate::metrics::{Histogram, HistogramBlock, Labels, Meter, MetricSet, Unit, WorkerSample};
 use crate::plan::plan_rule;
 use maglog_datalog::Program;
 use std::collections::BTreeSet;
@@ -145,8 +145,8 @@ pub struct ParallelProfile {
     pub shard_firings: Vec<u64>,
     /// Same-key derivations merged across shards at round barriers.
     pub merges: u64,
-    /// Total orchestrator time spent waiting on straggler workers after
-    /// the first worker finished each round.
+    /// Total time from the first worker finishing each round's firing
+    /// phase to the last one finishing, read on the sink's meter.
     pub barrier_wait_nanos: u64,
 }
 
@@ -682,8 +682,10 @@ const MERGES_HELP: &str = "Same-key derivations merged across shards at round ba
 /// Sequential firings are timed by bracketing
 /// [`Event::FireStart`]/[`Event::FireEnd`]; parallel shards time their
 /// firings worker-locally with the same meter
-/// ([`EventSink::worker_meter`]) and arrive merged through
-/// [`Event::WorkerSample`], so the hot loops never touch a shared lock.
+/// ([`EventSink::worker_meter`]) and report once per round in
+/// [`Event::ParallelRound`], so the hot loops never touch a shared lock.
+/// The barrier wait, the worker histograms and the shard firings are all
+/// derived from that one record.
 pub struct MetricsSink<'p> {
     program: &'p Program,
     strategy: Strategy,
@@ -775,6 +777,34 @@ impl<'p> MetricsSink<'p> {
         self.rule_entry(rule).firings += count;
         if let Some(r) = &mut self.cur_round {
             r.firings += count;
+        }
+    }
+
+    /// Fold one shard's report: its firings and latency histograms per
+    /// rule, and (when metered) its fire phase and barrier wait.
+    fn record_worker(&mut self, sample: &WorkerSample) {
+        let shards = self.parallel.as_mut().map(|p| &mut p.shard_firings);
+        if let Some(slot) = shards.and_then(|s| s.get_mut(sample.worker)) {
+            *slot += sample.firings();
+        }
+        for (ri, (n, h)) in sample.rules.iter().enumerate().filter(|(_, (n, _))| *n > 0) {
+            self.count_firings(ri, *n);
+            self.rule_slot(ri).2.merge(h);
+        }
+        let Some(r) = sample.readings else {
+            return;
+        };
+        for (by_worker, nanos) in [
+            (
+                &mut self.worker_fire,
+                r.fire_end.saturating_sub(r.fire_start),
+            ),
+            (&mut self.worker_wait, r.collect.saturating_sub(r.fire_end)),
+        ] {
+            if by_worker.len() <= sample.worker {
+                by_worker.resize_with(sample.worker + 1, Histogram::new);
+            }
+            by_worker[sample.worker].record(nanos);
         }
     }
 
@@ -916,7 +946,6 @@ impl EventSink for MetricsSink<'_> {
                 let elapsed = self.meter.now_nanos().saturating_sub(self.fire_started);
                 self.rule_slot(rule).2.record(elapsed);
             }
-            Event::Firings { rule, count } => self.count_firings(rule, count),
             Event::Insert { rule, outcome, .. } => {
                 let entry = self.rule_entry(rule);
                 let slot = match outcome {
@@ -980,11 +1009,19 @@ impl EventSink for MetricsSink<'_> {
             }
             Event::ParallelRound {
                 workers,
-                shard_sizes,
                 merges,
-                barrier_wait_nanos,
+                samples,
                 ..
             } => {
+                // The straggler wait: from the first shard finishing its
+                // firing phase to the last one finishing.
+                let ends = || {
+                    samples
+                        .iter()
+                        .filter_map(|s| s.readings.map(|r| r.fire_end))
+                };
+                let wait = ends().max().unwrap_or(0) - ends().min().unwrap_or(0);
+                self.barrier_wait.record(wait);
                 let par = self.parallel.get_or_insert_with(|| ParallelProfile {
                     workers,
                     shard_firings: vec![0; workers],
@@ -992,12 +1029,9 @@ impl EventSink for MetricsSink<'_> {
                 });
                 par.rounds += 1;
                 par.merges += merges;
-                par.barrier_wait_nanos += barrier_wait_nanos;
-                self.barrier_wait.record(barrier_wait_nanos);
-                for (w, &n) in shard_sizes.iter().enumerate() {
-                    if let Some(slot) = par.shard_firings.get_mut(w) {
-                        *slot += n as u64;
-                    }
+                par.barrier_wait_nanos += wait;
+                for s in samples {
+                    self.record_worker(s);
                 }
             }
             Event::RuleDerivations { rule, derivations } => {
@@ -1034,20 +1068,6 @@ impl EventSink for MetricsSink<'_> {
                 pred: self.program.pred_name(pred),
                 memory,
             }),
-            Event::WorkerSample(sample) => {
-                for (by_worker, nanos) in [
-                    (&mut self.worker_fire, sample.fire_nanos),
-                    (&mut self.worker_wait, sample.wait_nanos),
-                ] {
-                    if by_worker.len() <= sample.worker {
-                        by_worker.resize_with(sample.worker + 1, Histogram::new);
-                    }
-                    by_worker[sample.worker].record(nanos);
-                }
-                for (ri, h) in &sample.rule_nanos {
-                    self.rule_slot(*ri).2.merge(h);
-                }
-            }
         }
     }
 

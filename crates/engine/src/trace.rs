@@ -11,24 +11,28 @@
 //! Three pieces:
 //!
 //! - [`Tracer`]: a cheaply-clonable, thread-safe handle over a bounded
-//!   event buffer and an injectable [`Clock`]. Workers clone it; the cap
+//!   event buffer and an injectable [`Clock`], held as a [`Meter`]; the cap
 //!   plus an `events_dropped` footer count means tracing a 10⁵-round
 //!   workload degrades instead of OOMing.
 //! - [`SpanSink`]: an [`EventSink`] that converts evaluator events into
-//!   spans, resolving interned ids against `&Program` once per name.
+//!   spans, resolving interned ids against `&Program` once per name. The
+//!   worker lanes are drawn from each sharded round's barrier record
+//!   ([`Event::ParallelRound`]), whose readings the shards took on the
+//!   tracer's meter.
 //! - [`validate_chrome_trace`]: the structural validator the tests and
 //!   the `maglog trace-validate` subcommand share — per-lane B/E
 //!   balance, per-lane monotone timestamps, named lanes, and the
 //!   presence of the allocator counter track.
 //!
 //! Tracing is strictly opt-in: no evaluator path constructs a `Tracer`
-//! unless `--trace` is given, and [`EventSink::worker_tracer`] defaults
+//! unless `--trace` is given, and [`EventSink::worker_meter`] defaults
 //! to `None`, so the zero-cost-when-off property from the `EventSink`
 //! layer extends to every hook point added here.
 
 use crate::alloc;
 use crate::events::{Clock, Event, EventSink, SystemClock};
 use crate::jsonish::{self, json_escape, JsonValue};
+use crate::metrics::{BarrierReadings, Meter};
 use maglog_datalog::Program;
 use std::collections::{BTreeMap, HashMap};
 use std::sync::{Arc, Mutex};
@@ -106,7 +110,7 @@ struct Buffer {
 }
 
 struct Inner {
-    clock: Box<dyn Clock + Send + Sync>,
+    meter: Meter,
     buf: Mutex<Buffer>,
 }
 
@@ -149,7 +153,7 @@ impl Tracer {
     pub fn with_clock_and_cap(clock: Box<dyn Clock + Send + Sync>, cap: usize) -> Tracer {
         Tracer {
             inner: Arc::new(Inner {
-                clock,
+                meter: Meter::with_clock(Arc::from(clock)),
                 buf: Mutex::new(Buffer {
                     events: Vec::new(),
                     names: Vec::new(),
@@ -163,7 +167,7 @@ impl Tracer {
 
     /// Current clock reading in nanoseconds.
     pub fn now(&self) -> u64 {
-        self.inner.clock.now_nanos()
+        self.inner.meter.now_nanos()
     }
 
     /// Intern `name`, returning a stable reference for repeated spans.
@@ -209,17 +213,6 @@ impl Tracer {
         self.push_at(self.now(), lane, Ph::Begin, cat, name, Vec::new());
     }
 
-    /// Open a span with numeric annotations.
-    pub fn begin_args(
-        &self,
-        lane: u32,
-        cat: &'static str,
-        name: NameRef,
-        args: Vec<(&'static str, u64)>,
-    ) {
-        self.push_at(self.now(), lane, Ph::Begin, cat, name, args);
-    }
-
     /// Close the innermost open span on `lane`.
     pub fn end(&self, lane: u32, cat: &'static str, name: NameRef) {
         self.push_at(self.now(), lane, Ph::End, cat, name, Vec::new());
@@ -230,17 +223,16 @@ impl Tracer {
         self.push_at(self.now(), lane, Ph::Counter, "counter", name, args);
     }
 
-    /// Record worker `w`'s round on its own lane: a `fire` span over
-    /// `[fire_start, fire_end]` and a `barrier-wait` span from its last
-    /// firing to `barrier_done` (when the orchestrator had collected
-    /// every shard). Called by the parallel orchestrator in worker order
-    /// so parallel traces are push-order deterministic.
-    pub fn worker_round_spans(&self, worker: usize, fire: (u64, u64), barrier_done: u64) {
+    /// Record worker `w`'s round on its own lane: a `fire` span over its
+    /// firing phase and a `barrier-wait` span from its last firing to the
+    /// barrier collect. [`SpanSink`] calls it in worker order, so parallel
+    /// traces are push-order deterministic.
+    pub fn worker_round_spans(&self, worker: usize, readings: BarrierReadings) {
         let lane = worker as u32 + 1;
-        let (start, end) = fire;
+        let (start, end) = (readings.fire_start, readings.fire_end);
         self.push_at(start, lane, Ph::Begin, "worker", NameRef::Static("fire"), Vec::new());
         self.push_at(end, lane, Ph::End, "worker", NameRef::Static("fire"), Vec::new());
-        let wait_end = barrier_done.max(end);
+        let wait_end = readings.collect.max(end);
         self.push_at(
             end,
             lane,
@@ -397,13 +389,7 @@ impl Tracer {
         for &lane in &lanes {
             let mut stack = open.remove(&lane).unwrap_or_default();
             while let Some((cat, name)) = stack.pop() {
-                out.push_str(&format!(
-                    ",\n{{\"name\":\"{}\",\"cat\":\"{}\",\"ph\":\"E\",\"pid\":1,\"tid\":{},\"ts\":{:.3}}}",
-                    json_escape(&Tracer::resolve(&buf.names, name)),
-                    cat,
-                    lane,
-                    max_ts as f64 / 1000.0
-                ));
+                close(&mut out, cat, name, lane, max_ts);
             }
         }
         out.push_str(&format!(
@@ -481,12 +467,11 @@ impl EventSink for SpanSink<'_> {
                 self.tracer.begin(MAIN_LANE, "component", name);
             }
             Event::RoundStart { round, full } => {
-                self.tracer.begin_args(
-                    MAIN_LANE,
-                    "round",
-                    NameRef::Static("round"),
-                    vec![("round", round as u64), ("full", full as u64)],
-                );
+                let args = vec![("round", round as u64), ("full", full as u64)];
+                let now = self.tracer.now();
+                let name = NameRef::Static("round");
+                self.tracer
+                    .push_at(now, MAIN_LANE, Ph::Begin, "round", name, args);
             }
             Event::FireStart { rule } => {
                 let name = self.rule_name(rule);
@@ -522,15 +507,29 @@ impl EventSink for SpanSink<'_> {
                     self.tracer.end(MAIN_LANE, "component", name);
                 }
             }
-            // `Firings` replays worker-side tallies at the parallel
-            // barrier: the real spans already live on the worker lanes, so
-            // no zero-width main-lane spans are synthesized for it.
+            // One lane per worker in shard order, then the shard merge on
+            // the main lane, from the barrier collect to this event.
+            Event::ParallelRound { samples, .. } => {
+                for s in samples {
+                    if let Some(r) = s.readings {
+                        self.tracer.worker_round_spans(s.worker, r);
+                    }
+                }
+                if let Some(r) = samples.last().and_then(|s| s.readings) {
+                    let t = &self.tracer;
+                    let merge = NameRef::Static("merge");
+                    t.push_at(r.collect, MAIN_LANE, Ph::Begin, "worker", merge, Vec::new());
+                    t.end(MAIN_LANE, "worker", merge);
+                }
+            }
             _ => {}
         }
     }
 
-    fn worker_tracer(&self) -> Option<Tracer> {
-        Some(self.tracer.clone())
+    /// The shards read the tracer's own clock, so the worker lanes line
+    /// up with the main lane.
+    fn worker_meter(&self) -> Option<Meter> {
+        Some(self.tracer.inner.meter.clone())
     }
 }
 
@@ -781,8 +780,13 @@ mod tests {
             NameRef::Static("heap"),
             vec![("live", 0), ("peak", 0)],
         );
-        t.worker_round_spans(0, (10, 14), 20);
-        t.worker_round_spans(1, (10, 20), 20);
+        let at = |fire_start, fire_end| BarrierReadings {
+            fire_start,
+            fire_end,
+            collect: 20,
+        };
+        t.worker_round_spans(0, at(10, 14));
+        t.worker_round_spans(1, at(10, 20));
         let json = t.render_chrome_json("unit");
         let check = validate_chrome_trace(&json).expect("valid trace");
         assert_eq!(check.lanes, 3);

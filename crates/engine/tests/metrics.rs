@@ -206,6 +206,22 @@ fn parallel_run_merges_worker_local_histograms_at_the_barrier() {
     // rule fired on some worker and its histogram is non-empty.
     assert!(text.contains("maglog_rule_fire_duration_seconds"), "{text}");
     parse_openmetrics(&text).expect(&text);
+
+    // The barrier wait follows the sink's clock: on a clock that never
+    // advances, the profile's and the unlabeled series' waits are zero.
+    let mut frozen =
+        MetricsSink::with_clock(&p, Strategy::SemiNaive, Box::new(ManualClock::with_step(0)));
+    evaluate(&p, Strategy::SemiNaive, 2, &mut frozen);
+    let unlabeled_wait_sum = frozen
+        .metric_set(&[])
+        .samples()
+        .into_iter()
+        .find(|s| s.name == "maglog_barrier_wait_seconds_sum" && s.labels.len() == 1)
+        .expect("unlabeled barrier-wait series");
+    assert_eq!(unlabeled_wait_sum.value, 0.0);
+    let par = frozen.finish().parallel.expect("parallel block");
+    assert!(par.rounds > 0);
+    assert_eq!(par.barrier_wait_nanos, 0);
 }
 
 #[test]

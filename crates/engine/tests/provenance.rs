@@ -4,8 +4,8 @@
 use maglog_datalog::{parse_program, AggFunc, Program};
 use maglog_engine::{
     explain_tree, parse_goal, render_explain_dot, render_explain_human, render_explain_json,
-    render_why_not_human, why_not, Edb, EvalOptions, ExplainKind, MonotonicEngine, Strategy,
-    Tuple, Value,
+    render_why_not_human, why_not, Edb, EvalOptions, ExplainKind, MonotonicEngine, NoopSink,
+    Strategy, Tuple, Value,
 };
 
 const SHORTEST_PATH: &str = r#"
@@ -45,7 +45,7 @@ fn shortest_path_derivation_records_rule_body_and_witness() {
     let src = format!("{SHORTEST_PATH}\narc(a, b, 1).\narc(b, c, 2).\narc(a, c, 5).\n");
     let p = parse_program(&src).unwrap();
     let (model, prov) = MonotonicEngine::new(&p)
-        .evaluate_with_provenance(&Edb::new())
+        .evaluate_with_provenance(&Edb::new(), &mut NoopSink)
         .unwrap();
     assert!(!prov.is_empty());
 
@@ -72,7 +72,7 @@ fn improvement_chains_record_the_refinement_history() {
     let src = format!("{SHORTEST_PATH}\narc(a, b, 5).\narc(a, c, 1).\narc(c, b, 1).\n");
     let p = parse_program(&src).unwrap();
     let (_, prov) = MonotonicEngine::new(&p)
-        .evaluate_with_provenance(&Edb::new())
+        .evaluate_with_provenance(&Edb::new(), &mut NoopSink)
         .unwrap();
     let s = p.find_pred("s").unwrap();
     let history = prov.history(s, &key(&p, &["a", "b"]));
@@ -92,7 +92,7 @@ fn improvement_chains_record_the_refinement_history() {
 fn widest_path_max_witness_is_tracked() {
     let p = parse_program(WIDEST_PATH).unwrap();
     let (model, prov) = MonotonicEngine::new(&p)
-        .evaluate_with_provenance(&Edb::new())
+        .evaluate_with_provenance(&Edb::new(), &mut NoopSink)
         .unwrap();
     assert_eq!(model.cost_of(&p, "w", &["a", "c"]).unwrap().as_f64(), Some(3.0));
     let w = p.find_pred("w").unwrap();
@@ -116,7 +116,7 @@ fn count_aggregates_record_joint_witnesses() {
     )
     .unwrap();
     let (model, prov) = MonotonicEngine::new(&p)
-        .evaluate_with_provenance(&Edb::new())
+        .evaluate_with_provenance(&Edb::new(), &mut NoopSink)
         .unwrap();
     assert!(model.holds(&p, "coming", &["bob"]));
     let coming = p.find_pred("coming").unwrap();
@@ -148,7 +148,9 @@ fn provenance_mode_computes_the_same_model_under_every_strategy() {
                 },
             );
             let plain = engine.evaluate(&Edb::new()).unwrap();
-            let (traced, prov) = engine.evaluate_with_provenance(&Edb::new()).unwrap();
+            let (traced, prov) = engine
+                .evaluate_with_provenance(&Edb::new(), &mut NoopSink)
+                .unwrap();
             assert_eq!(
                 plain.interp(),
                 traced.interp(),
@@ -195,7 +197,7 @@ fn explain_tree_renders_human_json_and_dot() {
     let src = format!("{SHORTEST_PATH}\narc(a, b, 1).\narc(b, c, 2).\narc(a, c, 5).\n");
     let p = parse_program(&src).unwrap();
     let (model, prov) = MonotonicEngine::new(&p)
-        .evaluate_with_provenance(&Edb::new())
+        .evaluate_with_provenance(&Edb::new(), &mut NoopSink)
         .unwrap();
     let s = p.find_pred("s").unwrap();
     let node = explain_tree(&p, &prov, model.interp(), s, &key(&p, &["a", "c"]), 8);
@@ -226,7 +228,7 @@ fn explain_tree_is_depth_bounded_and_cycle_safe() {
     let src = format!("{SHORTEST_PATH}\narc(a, b, 1).\narc(b, b, 0).\n");
     let p = parse_program(&src).unwrap();
     let (model, prov) = MonotonicEngine::new(&p)
-        .evaluate_with_provenance(&Edb::new())
+        .evaluate_with_provenance(&Edb::new(), &mut NoopSink)
         .unwrap();
     let s = p.find_pred("s").unwrap();
     let shallow = explain_tree(&p, &prov, model.interp(), s, &key(&p, &["a", "b"]), 1);
@@ -245,7 +247,7 @@ fn explaining_a_missing_fact_says_so() {
     let src = format!("{SHORTEST_PATH}\narc(a, b, 1).\n");
     let p = parse_program(&src).unwrap();
     let (model, prov) = MonotonicEngine::new(&p)
-        .evaluate_with_provenance(&Edb::new())
+        .evaluate_with_provenance(&Edb::new(), &mut NoopSink)
         .unwrap();
     let s = p.find_pred("s").unwrap();
     let node = explain_tree(&p, &prov, model.interp(), s, &key(&p, &["b", "a"]), 8);

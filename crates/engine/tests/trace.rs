@@ -17,7 +17,8 @@
 
 use maglog_datalog::parse_program;
 use maglog_engine::{
-    validate_chrome_trace, Edb, EvalOptions, ManualClock, MonotonicEngine, SpanSink, Tracer,
+    validate_chrome_trace, Edb, EvalOptions, Fanout, ManualClock, MetricsSink, MonotonicEngine,
+    SpanSink, Strategy, Tracer,
 };
 use std::path::Path;
 
@@ -114,12 +115,37 @@ fn tracing_does_not_perturb_the_model() {
             },
         );
         let tracer = Tracer::with_clock(Box::new(ManualClock::with_step(1)));
-        let mut sink = SpanSink::new(&program, tracer);
+        let mut sink = Fanout(
+            SpanSink::new(&program, tracer),
+            MetricsSink::new(&program, Strategy::SemiNaive),
+        );
         let traced = engine.evaluate_with_sink(&Edb::new(), &mut sink).unwrap();
         assert_eq!(
             traced.render(&program),
             plain.render(&program),
             "workers={workers}"
         );
+        // Both arms read one barrier record on the tracer's clock: each
+        // worker lane's `fire` spans add up to that worker's fire
+        // histogram.
+        let Fanout(spans, metrics) = sink;
+        let samples = metrics.metric_set(&[]).samples();
+        let top = spans.tracer().top_spans(usize::MAX);
+        for w in 0..workers {
+            let lane_nanos: u64 = top
+                .iter()
+                .filter(|s| s.name == "fire" && s.lane == w as u32 + 1)
+                .map(|s| s.nanos)
+                .sum();
+            let hist_nanos = samples
+                .iter()
+                .find(|s| {
+                    s.name == "maglog_worker_fire_duration_seconds_sum"
+                        && s.labels.contains(&("worker".into(), w.to_string()))
+                })
+                .map_or(0, |s| (s.value * 1e9).round() as u64);
+            assert_eq!(lane_nanos, hist_nanos, "workers={workers} worker {w}");
+            assert_eq!(lane_nanos > 0, workers > 1, "workers={workers} worker {w}");
+        }
     }
 }

@@ -10,7 +10,7 @@
 //! behind `maglog explain`.
 
 use maglog::engine::{
-    explain_tree, parse_goal, render_explain_human, render_why_not_human, why_not,
+    explain_tree, parse_goal, render_explain_human, render_why_not_human, why_not, NoopSink,
 };
 use maglog::prelude::*;
 
@@ -31,7 +31,7 @@ fn main() {
     // Evaluate with derivation capture on: same model, plus a provenance
     // DAG of every accepted insert and improvement.
     let (model, prov) = MonotonicEngine::new(&program)
-        .evaluate_with_provenance(&Edb::new())
+        .evaluate_with_provenance(&Edb::new(), &mut NoopSink)
         .expect("widest-path program evaluates");
     println!("minimal model:\n{}", model.render(&program));
     println!("{} derivations committed\n", prov.len());

@@ -98,8 +98,8 @@ use maglog::engine::{
     parse_goal, parse_openmetrics, render_collapsed_stacks, render_explain_dot,
     render_explain_human, render_explain_json, render_profile_json, render_why_not_human,
     render_why_not_json, validate_chrome_trace, why_not, Document, Edb, EvalOptions, Fanout,
-    MetricSet, MetricsSink, Model, MonotonicEngine, Optimize, SpanSink, Strategy, Tracer, Tuple,
-    TRACE_SCHEMA,
+    MetricSet, MetricsSink, Model, MonotonicEngine, NoopSink, Optimize, SpanSink, Strategy,
+    Tracer, Tuple, TRACE_SCHEMA,
 };
 use std::process::ExitCode;
 
@@ -1039,22 +1039,20 @@ fn cmd_run(path: &str, preds: &[String], opts: &RunOpts) -> Result<(), String> {
     });
     let mut provenance = None;
     // `--stats` and `--metrics` both read the one recorder. It rides the
-    // sink by `&mut`, so it can be read after the run. `--explain`'s
-    // provenance walk takes no sink, so without `--stats` that path
-    // writes an exposition of zero counters.
+    // sink by `&mut`, so it can be read after the run.
     let mut metrics = (opts.stats || opts.metrics.is_some())
         .then(|| MetricsSink::new(&program, Strategy::SemiNaive));
     let eval_result: Result<Model, String> = run_phase(&mut phases, tr, "eval", || {
-        if opts.explain.is_some() && !opts.stats {
-            // Provenance capture runs its own walk; the phase spans
-            // still bracket it, but per-rule spans are not recorded.
+        let mut sink = Fanout(tr.map(|t| SpanSink::new(&program, t.clone())), &mut metrics);
+        if opts.explain.is_some() {
+            // Provenance capture clamps to one worker and semi-naive; the
+            // sinks still see the whole run.
             let (model, prov) = engine
-                .evaluate_with_provenance(&Edb::new())
+                .evaluate_with_provenance(&Edb::new(), &mut sink)
                 .map_err(|e| e.to_string())?;
             provenance = Some(prov);
             return Ok(model);
         }
-        let mut sink = Fanout(tr.map(|t| SpanSink::new(&program, t.clone())), &mut metrics);
         match &goal {
             Some(goal) => engine.evaluate_goal_with_sink(&Edb::new(), goal, &mut sink),
             None => engine.evaluate_with_sink(&Edb::new(), &mut sink),
@@ -1153,20 +1151,10 @@ fn cmd_run(path: &str, preds: &[String], opts: &RunOpts) -> Result<(), String> {
     if let Some(report) = report {
         eprint!("{report}");
     }
-    if let Some(pred_name) = &opts.explain {
+    if let (Some(pred_name), Some(prov)) = (&opts.explain, provenance) {
         let pred = program
             .find_pred(pred_name)
             .ok_or_else(|| format!("--explain: unknown predicate '{pred_name}'"))?;
-        // `--stats` evaluated with a metrics sink; rerun with the capture on.
-        let prov = match provenance {
-            Some(p) => p,
-            None => {
-                engine
-                    .evaluate_with_provenance(&Edb::new())
-                    .map_err(|e| e.to_string())?
-                    .1
-            }
-        };
         eprintln!(
             "-- provenance store: ~{}",
             fmt_bytes(prov.heap_bytes() as u64)
@@ -1202,7 +1190,7 @@ fn cmd_explain_goal(path: &str, goal_text: &str, opts: &ExplainOpts) -> Result<(
         return Ok(());
     }
     let (model, prov) = MonotonicEngine::new(&program)
-        .evaluate_with_provenance(&Edb::new())
+        .evaluate_with_provenance(&Edb::new(), &mut NoopSink)
         .map_err(|e| e.to_string())?;
     let node = explain_tree(&program, &prov, model.interp(), goal.pred, &goal.key, opts.depth);
     match opts.format {

@@ -389,6 +389,32 @@ fn run_explain_dumps_witnesses_for_a_predicate() {
     assert!(text.contains("-- derivations of s --"), "{text}");
     assert!(text.contains("s(a, b) = 1"), "{text}");
     assert!(text.contains("witness element"), "{text}");
+
+    // The provenance run feeds the metrics recorder: the exposition
+    // counts the firings the run reports on stderr.
+    let path = trace_tmp("run_explain_metrics.prom");
+    let out = maglog(&[
+        "run",
+        "--explain",
+        "s",
+        "--metrics",
+        path.to_str().unwrap(),
+        "programs/shortest_path.mgl",
+    ]);
+    assert!(out.status.success(), "{}", stderr(&out));
+    let err = stderr(&out);
+    let firings = err
+        .lines()
+        .find_map(|l| l.strip_suffix(" firings")?.rsplit(' ').next())
+        .unwrap_or_else(|| panic!("no firings figure in {err}"));
+    let doc = std::fs::read_to_string(&path).unwrap();
+    let exposed = doc
+        .lines()
+        .find_map(|l| l.strip_prefix("maglog_firings_total{"))
+        .and_then(|l| l.rsplit(' ').next())
+        .unwrap_or_else(|| panic!("no maglog_firings_total in {doc}"));
+    assert_ne!(firings, "0", "{err}");
+    assert_eq!(exposed, firings, "{doc}");
 }
 
 #[test]

@@ -7,7 +7,7 @@
 //! registered at plan time, and records complete aggregate witnesses.
 
 use maglog::engine::{
-    explain_tree, EvalOptions, ExplainKind, MetricsSink, MonotonicEngine, Strategy, Value,
+    explain_tree, EvalOptions, ExplainKind, MetricsSink, MonotonicEngine, NoopSink, Strategy, Value,
 };
 use maglog::prelude::*;
 use maglog::workloads::{programs, random_circuit};
@@ -58,7 +58,7 @@ fn circuit_provenance_has_complete_aggregate_witnesses() {
     let p = parse_program(programs::CIRCUIT).unwrap();
     let inst = random_circuit(16, 64, 2, 0.3, 71);
     let (model, prov) = MonotonicEngine::new(&p)
-        .evaluate_with_provenance(&inst.to_edb(&p))
+        .evaluate_with_provenance(&inst.to_edb(&p), &mut NoopSink)
         .unwrap();
     let t = p.find_pred("t").unwrap();
     let rel = model.interp().relation(t).expect("t is derived");
