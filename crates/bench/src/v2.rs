@@ -319,7 +319,8 @@ pub fn time_samples<T>(n: usize, mut f: impl FnMut() -> T) -> SampleStats {
 #[derive(Clone, Debug)]
 pub struct StrategyMeasurement {
     pub strategy: &'static str,
-    /// Rounds summed over components (queue pops for greedy components).
+    /// Rounds summed over components (for greedy components, one per
+    /// batch settled at one cost, plus the closing round).
     pub rounds: usize,
     /// Rule firings from the untimed instrumented run.
     pub firings: u64,

@@ -38,8 +38,11 @@ use maglog_datalog::{
     AggEq, AggFunc, Atom, BinOp, CmpOp, Expr, Literal, Pred, Program, Rule, Term, Var,
 };
 use crate::par::{self, FireTally};
+use maglog_lattice::Real;
 use std::cell::Cell;
-use std::collections::{BTreeSet, HashMap, HashSet};
+use std::cmp::Reverse;
+use std::collections::binary_heap::PeekMut;
+use std::collections::{BTreeSet, BinaryHeap, HashMap, HashSet};
 use std::sync::Arc;
 
 /// Per-round dedup of aggregate-driver re-evaluations: one entry per
@@ -72,15 +75,16 @@ pub enum Strategy {
     SemiNaive,
     /// Best-first (Dijkstra-style) settling for *cost-inflationary*
     /// `min_real` components — the greedy technique of Ganguly, Greco &
-    /// Zaniolo that Section 7 discusses. Candidate derivations are kept in
-    /// a priority queue ordered by cost; the least is settled first and
-    /// each key settles exactly once, so zero-weight cycles terminate in
-    /// one pass and no dominated tuple is ever expanded. Components that
-    /// are not eligible (non-`min_real` CDB domains, non-`min` recursive
-    /// aggregates, non-cost CDB predicates) fall back to semi-naive;
-    /// instances that violate the inflation assumption at runtime (a
-    /// derivation cheaper than the settling frontier — negative weights)
-    /// abort with [`EvalError::GreedyViolation`].
+    /// Zaniolo that Section 7 discusses. It runs the semi-naive round
+    /// loop, but candidate derivations wait in a priority queue ordered by
+    /// cost, and each round applies only the unsettled candidates tied at
+    /// the least cost. Each key settles exactly once, so zero-weight
+    /// cycles terminate and no dominated tuple is ever expanded.
+    /// Components that are not eligible (non-`min_real` CDB domains,
+    /// non-`min` recursive aggregates, non-cost CDB predicates) fall back
+    /// to semi-naive; instances that violate the inflation assumption at
+    /// runtime (a derivation cheaper than the settling frontier — negative
+    /// weights) abort with [`EvalError::GreedyViolation`].
     Greedy,
 }
 
@@ -127,8 +131,8 @@ pub struct EvalOptions {
     pub optimize: Optimize,
     /// Worker threads for the sharded parallel evaluator: `1` (the
     /// default) evaluates sequentially, `0` means "use available
-    /// parallelism", and `N > 1` runs each non-greedy component's rounds
-    /// across `N` workers. The computed model — tuples and costs — is
+    /// parallelism", and `N > 1` runs each component's rounds across `N`
+    /// workers. The computed model — tuples and costs — is
     /// identical at every worker count; see `docs/parallelism.md`.
     pub workers: usize,
 }
@@ -221,8 +225,9 @@ impl<'p> MonotonicEngine<'p> {
 
     /// Like [`evaluate_with_sink`](Self::evaluate_with_sink), additionally
     /// recording the derivation DAG of every accepted insert/improvement.
-    /// The greedy strategy settles keys outside the `T_P` apply loop, so it
-    /// is clamped to semi-naive here; the model is identical either way.
+    /// A greedy candidate can settle rounds after the round that derived
+    /// it, past the tracker's per-round pending heads, so greedy is
+    /// clamped to semi-naive here; the model is identical either way.
     pub fn evaluate_with_provenance<S: EventSink>(
         &self,
         edb: &Edb,
@@ -472,6 +477,12 @@ impl<'p> MonotonicEngine<'p> {
         sink: &mut S,
         cap: &mut C,
     ) -> Result<usize, EvalError> {
+        let greedy = self.options.strategy == Strategy::Greedy
+            && greedy_eligible(self.program, cdb, rule_indices);
+        // Loaded before any index is registered: it empties the CDB
+        // relations.
+        let mut frontier = greedy.then(|| Frontier::load(db, cdb));
+
         // Precompute plans.
         let mut execs: Vec<RuleExec> = Vec::new();
         for &ri in rule_indices {
@@ -569,8 +580,6 @@ impl<'p> MonotonicEngine<'p> {
             }
         }
 
-        let greedy = self.options.strategy == Strategy::Greedy
-            && greedy_eligible(self.program, cdb, rule_indices);
         let used = if greedy {
             Strategy::Greedy
         } else if self.options.strategy == Strategy::Naive {
@@ -594,28 +603,23 @@ impl<'p> MonotonicEngine<'p> {
         // immutably down the recursive step executor).
         let agg_counters = AggCounters::default();
 
-        if greedy {
-            // Dominance pruning is withheld under greedy settling: a
-            // dominated derivation there is evidence of a frontier
-            // violation (negative weights), which must surface as
-            // `GreedyViolation`, not be silently discarded.
-            return self.eval_component_greedy(
-                db,
-                cdb,
-                &execs,
-                ci,
-                demand,
-                &mut rule_pushes,
-                &agg_counters,
-                stats,
-                sink,
-                cap,
-            );
-        }
-
+        // A greedy round's buffer neither checks Definition 2.6 nor prunes:
+        // a dominated derivation there is evidence of a frontier violation
+        // (negative weights), which must surface as `GreedyViolation`, not
+        // be silently discarded. Its round cap scales with the settle
+        // granularity: a round settles at least one key.
+        let (check, prune, max_rounds) = if greedy {
+            (false, false, self.options.max_rounds.saturating_mul(64))
+        } else {
+            (
+                self.options.check_consistency,
+                prune,
+                self.options.max_rounds,
+            )
+        };
         // Provenance capture threads derivation trails through the firing
         // order, so captured runs fire on one shard (their entry point also
-        // clamps `workers`); greedy components settled above.
+        // clamps `workers`).
         let shards = if C::ENABLED {
             1
         } else {
@@ -628,7 +632,7 @@ impl<'p> MonotonicEngine<'p> {
         // round delta per occurrence.
         let mut delta: HashMap<Pred, Vec<Arc<Tuple>>> = HashMap::new();
         loop {
-            if rounds >= self.options.max_rounds {
+            if rounds >= max_rounds {
                 return Err(EvalError::NonTermination {
                     rounds,
                     component: 0,
@@ -647,13 +651,8 @@ impl<'p> MonotonicEngine<'p> {
             let derived = if shards == 1 {
                 // The one-shard round fires inline, into the real sink and
                 // capture.
-                let mut buffer = RoundBuffer::new(
-                    self.program,
-                    self.options.check_consistency,
-                    prune,
-                    demand,
-                    &mut rule_pushes,
-                );
+                let mut buffer =
+                    RoundBuffer::new(self.program, check, prune, demand, &mut rule_pushes);
                 let ctx = Ctx {
                     program: self.program,
                     db,
@@ -670,6 +669,7 @@ impl<'p> MonotonicEngine<'p> {
                     &delta,
                     rounds + 1,
                     shards,
+                    check,
                     prune,
                     demand,
                     &mut rule_pushes,
@@ -680,6 +680,11 @@ impl<'p> MonotonicEngine<'p> {
             };
             let derived_count = derived.len();
             stats.derivations += derived_count as u64;
+            // Greedy applies only the next settled batch.
+            let derived = match &mut frontier {
+                Some(f) => f.settle_batch(self.program, db, derived)?,
+                None => derived,
+            };
 
             // Apply derivations: join into db, recording changed keys.
             let new_delta = self.apply_round(db, derived, &execs, sink, cap);
@@ -703,9 +708,30 @@ impl<'p> MonotonicEngine<'p> {
             if new_delta.is_empty() {
                 // A semi-naive pass that saw no changes is a genuine
                 // fixpoint: every rule was either re-fired through a driver
-                // or has no dependency on the component.
+                // or has no dependency on the component. A greedy round
+                // changes nothing only once its queue is spent.
+                for (exec, &n) in execs.iter().zip(&rule_pushes) {
+                    sink.on(&Event::RuleDerivations {
+                        rule: exec.ri,
+                        derivations: n,
+                    });
+                }
+                sink.on(&Event::AggregateTotals {
+                    groups: agg_counters.groups.get(),
+                    elements: agg_counters.elements.get(),
+                    peak_bytes: agg_counters.peak_bytes.get(),
+                });
                 let pruned = stats.pruned - pruned_before;
-                finish_component(ci, rounds, &execs, &rule_pushes, &agg_counters, pruned, sink);
+                if pruned > 0 {
+                    sink.on(&Event::Pruned {
+                        component: ci,
+                        count: pruned,
+                    });
+                }
+                sink.on(&Event::ComponentEnd {
+                    component: ci,
+                    rounds,
+                });
                 return Ok(rounds);
             }
             delta = new_delta;
@@ -846,7 +872,8 @@ impl<'p> MonotonicEngine<'p> {
     /// through [`buffer_derivation`], the rule one buffer applies to a
     /// repeated key, so the merged buffer is the one-shard round's buffer.
     /// Each shard's report then reaches `sink` once, in the round's
-    /// [`Event::ParallelRound`].
+    /// [`Event::ParallelRound`], before the first merge conflict (if any)
+    /// is returned.
     #[allow(clippy::too_many_arguments)]
     fn fire_sharded<S: EventSink>(
         &self,
@@ -856,6 +883,7 @@ impl<'p> MonotonicEngine<'p> {
         delta: &HashMap<Pred, Vec<Arc<Tuple>>>,
         round: usize,
         shards: usize,
+        check: bool,
         prune: bool,
         demand: Option<&DemandFilter>,
         rule_pushes: &mut [u64],
@@ -880,13 +908,8 @@ impl<'p> MonotonicEngine<'p> {
                             db,
                             agg: &agg,
                         };
-                        let mut buffer = RoundBuffer::new(
-                            self.program,
-                            self.options.check_consistency,
-                            prune,
-                            demand,
-                            &mut pushes,
-                        );
+                        let mut buffer =
+                            RoundBuffer::new(self.program, check, prune, demand, &mut pushes);
                         self.fire_shard(
                             &ctx,
                             execs,
@@ -922,6 +945,7 @@ impl<'p> MonotonicEngine<'p> {
         let mut samples = Vec::with_capacity(shards);
         let mut merged = Derived::new();
         let mut merges = 0u64;
+        let mut conflict = None;
         for r in results {
             stats.firings += r.stats.firings;
             stats.pruned += r.stats.pruned;
@@ -935,191 +959,22 @@ impl<'p> MonotonicEngine<'p> {
             }
             samples.push(sample);
             for ((pred, key), entry) in r.entries {
-                let repeated = buffer_derivation(
-                    self.program,
-                    self.options.check_consistency,
-                    &mut merged,
-                    pred,
-                    key,
-                    entry,
-                )?;
-                merges += repeated as u64;
+                match buffer_derivation(self.program, check, &mut merged, pred, key, entry) {
+                    Ok(repeated) => merges += repeated as u64,
+                    Err(e) => {
+                        conflict.get_or_insert(e);
+                    }
+                }
             }
         }
+        // A conflicting round still reports its barrier before it fails.
         sink.on(&Event::ParallelRound {
             round,
             workers: shards,
             merges,
             samples: &samples,
         });
-        Ok(merged)
-    }
-
-    /// Best-first evaluation of an eligible `min_real` component.
-    ///
-    /// Settled keys bypass the `T_P` apply loop, so provenance capture
-    /// does not commit nodes here — [`Self::evaluate_with_provenance`]
-    /// clamps greedy to semi-naive instead.
-    #[allow(clippy::too_many_arguments)]
-    fn eval_component_greedy<S: EventSink, C: Capture>(
-        &self,
-        db: &mut Interp,
-        cdb: &BTreeSet<Pred>,
-        execs: &[RuleExec],
-        ci: usize,
-        demand: Option<&DemandFilter>,
-        rule_pushes: &mut [u64],
-        agg_counters: &AggCounters,
-        stats: &mut EvalStats,
-        sink: &mut S,
-        cap: &mut C,
-    ) -> Result<usize, EvalError> {
-        use maglog_lattice::Real;
-        use std::cmp::Reverse;
-        use std::collections::BinaryHeap;
-
-        // Move any pre-loaded CDB facts into the candidate queue so that
-        // rule-derived cheaper values can still win. Keys stay shared
-        // `Arc`s throughout the heap, the cost table, and the relation.
-        let mut candidates: BinaryHeap<Reverse<(Real, Pred, Arc<Tuple>)>> = BinaryHeap::new();
-        let mut costs: HashMap<(Pred, Arc<Tuple>), Real> = HashMap::new();
-        let pruned_before = stats.pruned;
-        for &pred in cdb {
-            let rel = std::mem::take(db.relation_mut(pred));
-            for (key, cost) in rel.iter_arcs() {
-                if let Some(Value::Num(r)) = cost {
-                    candidates.push(Reverse((*r, pred, key.clone())));
-                    costs.insert((pred, key.clone()), *r);
-                }
-            }
-        }
-
-        // Initial full pass over the (LDB-only) database. Each pop then
-        // reuses `delta` for its one settled tuple.
-        let mut delta: HashMap<Pred, Vec<Arc<Tuple>>> = HashMap::new();
-        {
-            let ctx = Ctx {
-                program: self.program,
-                db,
-                agg: agg_counters,
-            };
-            let mut derived = RoundBuffer::new(self.program, false, false, demand, rule_pushes);
-            self.fire_shard(&ctx, execs, true, &delta, (0, 1), &mut derived, stats, sink, cap)?;
-            stats.derivations += derived.map.len() as u64;
-            stats.pruned += derived.pruned;
-            for ((pred, key), entry) in derived.map {
-                if let Some(Value::Num(r)) = entry.cost {
-                    let best = costs.entry((pred, key.clone())).or_insert(r);
-                    if r <= *best {
-                        *best = r;
-                        candidates.push(Reverse((r, pred, key)));
-                    }
-                }
-            }
-        }
-
-        let mut pops = 0usize;
-        let pop_budget = self.options.max_rounds.saturating_mul(64);
-        #[allow(unused_assignments)] // set before first read, on first pop
-        let mut frontier = Real::NEG_INFINITY;
-        while let Some(Reverse((cost, pred, key))) = candidates.pop() {
-            // Already settled with an equal-or-better value?
-            if db
-                .relation(pred)
-                .is_some_and(|rel| rel.contains(&key))
-            {
-                continue;
-            }
-            pops += 1;
-            if pops > pop_budget {
-                return Err(EvalError::NonTermination {
-                    rounds: pops,
-                    component: 0,
-                    preds: cdb.iter().map(|p| self.program.pred_name(*p)).collect(),
-                    last_delta: candidates.len(),
-                });
-            }
-            sink.on(&Event::RoundStart {
-                round: pops,
-                full: false,
-            });
-            sink.on(&Event::GreedySettle {
-                pred,
-                key: &key,
-                cost: cost.get(),
-            });
-            frontier = cost;
-            db.relation_mut(pred)
-                .insert_arc(key.clone(), Some(Value::Num(cost)));
-
-            // Fire the semi-naive drivers for this single settled atom: a
-            // one-shard round over a one-tuple delta.
-            delta.values_mut().for_each(Vec::clear);
-            delta.entry(pred).or_default().push(key);
-            let mut derived = RoundBuffer::new(self.program, false, false, demand, rule_pushes);
-            let ctx = Ctx {
-                program: self.program,
-                db,
-                agg: agg_counters,
-            };
-            self.fire_shard(&ctx, execs, false, &delta, (0, 1), &mut derived, stats, sink, cap)?;
-            let derived_count = derived.map.len();
-            stats.derivations += derived_count as u64;
-            stats.pruned += derived.pruned;
-            let mut pushed = 0usize;
-            for ((dpred, dkey), dentry) in derived.map {
-                let Some(Value::Num(r)) = dentry.cost else { continue };
-                // Re-derivations of settled atoms are fine as long as they
-                // do not *improve* them (alternative equal-cost paths, or
-                // dominated ones re-found through a new route).
-                if let Some(Some(Value::Num(old))) = db
-                    .relation(dpred)
-                    .and_then(|rel| rel.get(&dkey))
-                    .cloned()
-                {
-                    if r >= old {
-                        continue;
-                    }
-                    return Err(EvalError::GreedyViolation {
-                        detail: format!(
-                            "settled atom of {} at {} improved to {} \
-                             (negative weights? use the semi-naive strategy)",
-                            self.program.pred_name(dpred),
-                            old,
-                            r
-                        ),
-                    });
-                }
-                if r < frontier {
-                    return Err(EvalError::GreedyViolation {
-                        detail: format!(
-                            "derivation for {} at cost {} undercuts the settled frontier {} \
-                             (negative weights? use the semi-naive strategy)",
-                            self.program.pred_name(dpred),
-                            r,
-                            frontier
-                        ),
-                    });
-                }
-                let slot = costs.entry((dpred, dkey.clone())).or_insert(r);
-                if r <= *slot {
-                    *slot = r;
-                    candidates.push(Reverse((r, dpred, dkey)));
-                    pushed += 1;
-                }
-            }
-            // Each pop is a (single-tuple) round: the settled atom is the
-            // round's delta, `pushed` counts new frontier candidates.
-            sink.on(&Event::Delta { pred, size: 1 });
-            sink.on(&Event::RoundEnd {
-                round: pops,
-                derivations: derived_count,
-                changed: pushed,
-            });
-        }
-        let pruned = stats.pruned - pruned_before;
-        finish_component(ci, pops, execs, rule_pushes, agg_counters, pruned, sink);
-        Ok(pops)
+        conflict.map_or(Ok(merged), Err)
     }
 
     /// Fire one semi-naive driver for one delta tuple, once per seed that
@@ -1320,41 +1175,6 @@ fn claim_seed(
         && seen_seeds.insert((exec_index, disc, seed))
 }
 
-/// Close a component: per-rule derivation totals, aggregate totals, the
-/// pruned count (only when non-zero), then `ComponentEnd`. Shared by the
-/// round loop and greedy settling.
-fn finish_component<S: EventSink>(
-    ci: usize,
-    rounds: usize,
-    execs: &[RuleExec<'_>],
-    rule_pushes: &[u64],
-    agg_counters: &AggCounters,
-    pruned: u64,
-    sink: &mut S,
-) {
-    for (exec, &n) in execs.iter().zip(rule_pushes) {
-        sink.on(&Event::RuleDerivations {
-            rule: exec.ri,
-            derivations: n,
-        });
-    }
-    sink.on(&Event::AggregateTotals {
-        groups: agg_counters.groups.get(),
-        elements: agg_counters.elements.get(),
-        peak_bytes: agg_counters.peak_bytes.get(),
-    });
-    if pruned > 0 {
-        sink.on(&Event::Pruned {
-            component: ci,
-            count: pruned,
-        });
-    }
-    sink.on(&Event::ComponentEnd {
-        component: ci,
-        rounds,
-    });
-}
-
 /// One shard's contribution to a round barrier: its round buffer, the
 /// counters the barrier folds into the component totals, and its report
 /// for the caller's sink.
@@ -1442,6 +1262,117 @@ fn greedy_eligible(
             _ => true,
         })
     })
+}
+
+/// A queued greedy candidate: `(cost, pred, key, exec slot)`.
+type Candidate = (Real, Pred, Arc<Tuple>, usize);
+
+/// Greedy's frontier step, run between a round's firing and its apply:
+/// the round's derivations join a queue ordered by cost, and the round
+/// applies only the unsettled candidates tied at the least queued cost.
+/// That batch is exact: with nonnegative increments, a derivation fired
+/// from an atom settled at cost `f` costs at least `f`, so it cannot
+/// undercut the batch. An instance that breaks the assumption fails with
+/// [`EvalError::GreedyViolation`].
+struct Frontier {
+    /// Candidates, cheapest first. Keys stay shared `Arc`s throughout the
+    /// queue, the cost table and the relation.
+    queue: BinaryHeap<Reverse<Candidate>>,
+    /// The best cost queued per key.
+    best: HashMap<(Pred, Arc<Tuple>), Real>,
+    /// The cost of the last settled batch.
+    level: Real,
+}
+
+impl Frontier {
+    /// Move the component's pre-loaded CDB facts into the queue, so that
+    /// rule-derived cheaper values can still win. A fact settles under the
+    /// component's first rule (exec slot 0).
+    fn load(db: &mut Interp, cdb: &BTreeSet<Pred>) -> Frontier {
+        let mut frontier = Frontier {
+            queue: BinaryHeap::new(),
+            best: HashMap::new(),
+            level: Real::NEG_INFINITY,
+        };
+        for &pred in cdb {
+            let rel = std::mem::take(db.relation_mut(pred));
+            for (key, cost) in rel.iter_arcs() {
+                if let Some(Value::Num(r)) = cost {
+                    frontier.queue.push(Reverse((*r, pred, key.clone(), 0)));
+                    frontier.best.insert((pred, key.clone()), *r);
+                }
+            }
+        }
+        frontier
+    }
+
+    /// Queue one round's buffered derivations, then pop the next batch:
+    /// every unsettled candidate at the least queued cost, as the buffer
+    /// the round applies. An empty batch is the fixpoint.
+    fn settle_batch(
+        &mut self,
+        program: &Program,
+        db: &Interp,
+        derived: Derived,
+    ) -> Result<Derived, EvalError> {
+        for ((pred, key), entry) in derived {
+            let Some(Value::Num(r)) = entry.cost else {
+                continue;
+            };
+            // Re-derivations of settled atoms are fine as long as they do
+            // not *improve* them (alternative equal-cost paths, or
+            // dominated ones re-found through a new route).
+            if let Some(Some(Value::Num(old))) = db.relation(pred).and_then(|rel| rel.get(&key)) {
+                if r >= *old {
+                    continue;
+                }
+                return Err(EvalError::GreedyViolation {
+                    detail: format!(
+                        "settled atom of {} at {} improved to {} \
+                         (negative weights? use the semi-naive strategy)",
+                        program.pred_name(pred),
+                        old,
+                        r
+                    ),
+                });
+            }
+            if r < self.level {
+                return Err(EvalError::GreedyViolation {
+                    detail: format!(
+                        "derivation for {} at cost {} undercuts the settled frontier {} \
+                         (negative weights? use the semi-naive strategy)",
+                        program.pred_name(pred),
+                        r,
+                        self.level
+                    ),
+                });
+            }
+            let best = self.best.entry((pred, key.clone())).or_insert(r);
+            if r <= *best {
+                *best = r;
+                self.queue.push(Reverse((r, pred, key, entry.slot)));
+            }
+        }
+        let mut batch = Derived::new();
+        while let Some(top) = self.queue.peek_mut() {
+            if !batch.is_empty() && top.0 .0 > self.level {
+                break;
+            }
+            let Reverse((cost, pred, key, slot)) = PeekMut::pop(top);
+            // Already settled, with an equal or better value?
+            if db.relation(pred).is_some_and(|rel| rel.contains(&key)) {
+                continue;
+            }
+            self.level = cost;
+            // A tied duplicate keeps the first (lowest) slot.
+            batch.entry((pred, key)).or_insert(DerivedEntry {
+                cost: Some(Value::Num(cost)),
+                slot,
+                joined: false,
+            });
+        }
+        Ok(batch)
+    }
 }
 
 struct RuleExec<'p> {
@@ -3350,12 +3281,16 @@ mod tests {
     fn parallel_counters_match_sequential() {
         // Seed-hash sharding fires each seed on exactly one worker, so
         // the derivation/firing counters — not just the model — are equal.
-        let (_, seq) = run_parallel(SHORTEST_PATH_SRC, Strategy::SemiNaive, 1);
-        let (_, par) = run_parallel(SHORTEST_PATH_SRC, Strategy::SemiNaive, 4);
-        assert_eq!(seq.stats().derivations, par.stats().derivations);
-        assert_eq!(seq.stats().firings, par.stats().firings);
-        assert_eq!(seq.stats().rounds, par.stats().rounds);
-        assert_eq!(seq.stats().pruned, par.stats().pruned);
+        // Greedy settles after the barrier merge, from the same buffer.
+        for strategy in [Strategy::SemiNaive, Strategy::Greedy] {
+            let (_, seq) = run_parallel(SHORTEST_PATH_SRC, strategy, 1);
+            let (_, par) = run_parallel(SHORTEST_PATH_SRC, strategy, 4);
+            let name = strategy.name();
+            assert_eq!(seq.stats().derivations, par.stats().derivations, "{name}");
+            assert_eq!(seq.stats().firings, par.stats().firings, "{name}");
+            assert_eq!(seq.stats().rounds, par.stats().rounds, "{name}");
+            assert_eq!(seq.stats().pruned, par.stats().pruned, "{name}");
+        }
     }
 
     #[test]
@@ -3379,8 +3314,20 @@ mod tests {
             p(X, 1) :- seed(X).
             p(X, 2) :- seed(X).
         "#;
+        /// The round starts and barrier records, in order.
+        struct BarrierSpy(Vec<(&'static str, usize)>);
+        impl EventSink for BarrierSpy {
+            fn on(&mut self, event: &Event<'_>) {
+                match *event {
+                    Event::RoundStart { round, .. } => self.0.push(("start", round)),
+                    Event::ParallelRound { round, .. } => self.0.push(("barrier", round)),
+                    _ => {}
+                }
+            }
+        }
         let p = parse_program(src).unwrap();
         for workers in [1usize, 2, 4] {
+            let mut spy = BarrierSpy(Vec::new());
             let r = MonotonicEngine::with_options(
                 &p,
                 EvalOptions {
@@ -3389,11 +3336,17 @@ mod tests {
                     ..Default::default()
                 },
             )
-            .evaluate(&Edb::new());
+            .evaluate_with_sink(&Edb::new(), &mut spy);
             assert!(
                 matches!(r, Err(EvalError::CostConflict { .. })),
                 "workers={workers}: {r:?}"
             );
+            // A full round deals the two rules to shards 0 and 1, so from
+            // two workers on they meet at the barrier, which still reports
+            // the failing round.
+            if workers > 1 {
+                assert_eq!(spy.0[spy.0.len() - 2..], [("start", 1), ("barrier", 1)]);
+            }
         }
     }
 

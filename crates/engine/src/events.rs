@@ -19,7 +19,7 @@
 //! meter a sink hands out ([`EventSink::worker_meter`]).
 
 use crate::eval::Strategy;
-use crate::interp::{IndexStats, RelationMemory, Tuple};
+use crate::interp::{IndexStats, RelationMemory};
 use maglog_datalog::Pred;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
@@ -45,9 +45,7 @@ pub enum InsertOutcome {
 /// once `RuleDerivations`*,
 /// `AggregateTotals`, `Pruned` (when non-zero), `ComponentEnd`. After all
 /// components, `IndexStats` (and, on request, `RelationMemory`) fires once
-/// per touched predicate. Greedy components treat each queue pop as a
-/// round and additionally emit `GreedySettle` for the settled atom; their
-/// initial full pass fires before the first pop's `RoundStart`.
+/// per touched predicate.
 #[derive(Clone, Copy, Debug)]
 pub enum Event<'a> {
     /// A component's fixpoint begins. `strategy` is the strategy actually
@@ -106,12 +104,6 @@ pub enum Event<'a> {
         elements: u64,
         peak_bytes: u64,
     },
-    /// The greedy strategy settled `pred(key)` at `cost`.
-    GreedySettle {
-        pred: Pred,
-        key: &'a Tuple,
-        cost: f64,
-    },
     /// An optimizing-rewrite decision (`--optimize`): one human-readable
     /// line per decision — PreM pushdown proven or refused per component,
     /// demand restriction chosen for a point query. Fired before any
@@ -121,8 +113,9 @@ pub enum Event<'a> {
     /// pruning, demand restriction) over the whole component. Fired just
     /// before `ComponentEnd`, and only when non-zero.
     Pruned { component: usize, count: u64 },
-    /// The component reached its fixpoint after `rounds` rounds (queue
-    /// pops for greedy components).
+    /// The component reached its fixpoint after `rounds` rounds (for
+    /// greedy components, one per batch settled at one cost, plus the
+    /// closing round).
     ComponentEnd { component: usize, rounds: usize },
     /// Join-index telemetry for one predicate's relation, reported once
     /// after evaluation. `sigs` is the number of distinct signatures

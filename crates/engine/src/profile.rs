@@ -12,8 +12,8 @@
 //!   including same-key re-derivations within a round.
 //! * **inserted / improved / noop** — how each distinct buffered
 //!   (pred, key) changed the database when applied: a new tuple, a strict
-//!   lattice improvement, or no change. The greedy strategy applies
-//!   settles directly from its priority queue, so these are zero there.
+//!   lattice improvement, or no change. A greedy round applies only the
+//!   batch it settled, so each settled tuple counts once, as inserted.
 //! * **nanos** — wall-clock spent inside rule firings: the sum of the
 //!   rule's firing-latency histogram, so it includes the worker-timed
 //!   firings of `--parallel` rounds (inject a
@@ -38,7 +38,7 @@ use std::sync::Arc;
 
 /// Per-round detail rows kept per component in the report; further rounds
 /// are only counted (`rounds_elided`). Keeps greedy profiles (one round
-/// per queue pop) bounded.
+/// per settled cost batch) bounded.
 const MAX_ROUND_DETAIL: usize = 64;
 
 /// Round lines per component in [`ProfileReport::render_trace`]; further
@@ -61,9 +61,6 @@ pub struct RoundProfile {
     pub changed: usize,
     /// Per-predicate delta sizes, sorted by predicate name.
     pub deltas: Vec<(String, usize)>,
-    /// The greedy pop's settled atom, rendered as `settle p(k) @ cost`
-    /// (greedy components only; trace text, not part of the JSON).
-    pub settle: Option<String>,
 }
 
 /// One component's profile.
@@ -75,7 +72,8 @@ pub struct ComponentProfile {
     pub strategy: &'static str,
     /// Recursive (CDB) predicate names, sorted.
     pub preds: Vec<String>,
-    /// Rounds to fixpoint (queue pops for greedy components).
+    /// Rounds to fixpoint (for greedy components, one per batch settled at
+    /// one cost, plus the closing round).
     pub rounds: usize,
     /// Detail for the first [`MAX_ROUND_DETAIL`] rounds.
     pub rounds_detail: Vec<RoundProfile>,
@@ -395,8 +393,8 @@ impl ProfileReport {
     }
 
     /// The human round-by-round fixpoint trace: optimization decisions,
-    /// then per component its header, up to 50 round lines (greedy pops
-    /// name the settled atom), the pruned count, and the round total.
+    /// then per component its header, up to 50 round lines, the pruned
+    /// count, and the round total.
     pub fn render_trace(&self) -> String {
         let mut s = String::new();
         for decision in &self.optimizations {
@@ -417,19 +415,14 @@ impl ProfileReport {
                         r.deltas.iter().map(|(p, n)| format!("{p} +{n}")).collect();
                     format!(" | Δ {}", parts.join(", "))
                 };
-                let (round, derivations, changed) = (r.round, r.derivations, r.changed);
-                match &r.settle {
-                    Some(settle) => s.push_str(&format!(
-                        "  pop {round}: {settle}: {derivations} derivation(s), \
-                         {changed} queued{deltas}\n"
-                    )),
-                    None => s.push_str(&format!(
-                        "  round {round}{}: {} firing(s), {derivations} derivation(s), \
-                         {changed} changed{deltas}\n",
-                        if r.full { " (full)" } else { "" },
-                        r.firings
-                    )),
-                }
+                s.push_str(&format!(
+                    "  round {}{}: {} firing(s), {} derivation(s), {} changed{deltas}\n",
+                    r.round,
+                    if r.full { " (full)" } else { "" },
+                    r.firings,
+                    r.derivations,
+                    r.changed
+                ));
             }
             if c.pruned > 0 {
                 s.push_str(&format!(
@@ -967,23 +960,6 @@ impl EventSink for MetricsSink<'_> {
                     r.deltas.push((self.program.pred_name(pred), size));
                 }
             }
-            Event::GreedySettle { pred, key, cost } => {
-                // Rendered only for rounds the detail keeps, so long greedy
-                // runs pay for at most `MAX_ROUND_DETAIL` strings.
-                let kept = self
-                    .components
-                    .last()
-                    .is_some_and(|c| c.rounds_detail.len() < MAX_ROUND_DETAIL);
-                if let (Some(r), true) = (&mut self.cur_round, kept) {
-                    let args: Vec<String> = key.0.iter().map(|v| v.display(self.program)).collect();
-                    r.settle = Some(format!(
-                        "settle {}({}) @ {}",
-                        self.program.pred_name(pred),
-                        args.join(", "),
-                        cost
-                    ));
-                }
-            }
             Event::RoundEnd {
                 derivations,
                 changed,
@@ -1149,36 +1125,6 @@ mod tests {
         assert!(trace.contains("round 1 (full)"));
         assert!(trace.contains("fixpoint after"));
         assert!(trace.contains("Δ"));
-    }
-
-    #[test]
-    fn greedy_trace_shows_settles() {
-        let p = parse_program(
-            r#"
-            declare pred arc/3 cost min_real.
-            declare pred path/4 cost min_real.
-            declare pred s/3 cost min_real.
-            arc(a, b, 2). arc(b, c, 3).
-            path(X, direct, Y, C) :- arc(X, Y, C).
-            path(X, Z, Y, C) :- s(X, Z, C1), arc(Z, Y, C2), C = C1 + C2.
-            s(X, Y, C) :- C =r min D : path(X, Z, Y, D).
-            constraint :- arc(direct, Z, C).
-            "#,
-        )
-        .unwrap();
-        let mut sink = MetricsSink::new(&p, Strategy::Greedy);
-        MonotonicEngine::with_options(
-            &p,
-            EvalOptions {
-                strategy: Strategy::Greedy,
-                ..Default::default()
-            },
-        )
-        .evaluate_with_sink(&Edb::new(), &mut sink)
-        .unwrap();
-        let trace = sink.finish().render_trace();
-        assert!(trace.contains("[greedy]"), "{trace}");
-        assert!(trace.contains("settle"), "{trace}");
     }
 
     #[test]

@@ -10,9 +10,9 @@
 //! different join plan), re-derive the numbers with
 //! `maglog profile --format=json` and update the pins alongside the change.
 
-use maglog_datalog::parse_program;
+use maglog_datalog::{parse_program, Program};
 use maglog_engine::{
-    alloc, Edb, EvalError, EvalOptions, Fanout, ManualClock, MetricsSink, MonotonicEngine,
+    alloc, Edb, EvalError, EvalOptions, Fanout, ManualClock, MetricsSink, Model, MonotonicEngine,
     NoopSink, Optimize, ProfileReport, SpanSink, Strategy, Tracer,
 };
 
@@ -34,20 +34,24 @@ const SHORTEST_PATH: &str = r#"
 "#;
 
 fn profile(strategy: Strategy) -> ProfileReport {
-    let program = parse_program(SHORTEST_PATH).unwrap();
-    let engine = MonotonicEngine::with_options(
-        &program,
-        EvalOptions {
-            strategy,
-            ..Default::default()
-        },
-    );
+    evaluate(SHORTEST_PATH, strategy).2
+}
+
+/// Evaluate `src` under `strategy` into a profile.
+fn evaluate(src: &str, strategy: Strategy) -> (Program, Model, ProfileReport) {
+    let program = parse_program(src).unwrap();
+    let options = EvalOptions {
+        strategy,
+        ..Default::default()
+    };
     // Step-1 manual clock: every rule firing costs exactly 1 "nanosecond",
     // so wall-clock attribution is pinned too (nanos == firings).
-    let mut sink =
-        MetricsSink::with_clock(&program, strategy, Box::new(ManualClock::with_step(1)));
-    engine.evaluate_with_sink(&Edb::new(), &mut sink).unwrap();
-    sink.finish()
+    let mut sink = MetricsSink::with_clock(&program, strategy, Box::new(ManualClock::with_step(1)));
+    let model = MonotonicEngine::with_options(&program, options)
+        .evaluate_with_sink(&Edb::new(), &mut sink)
+        .unwrap();
+    let report = sink.finish();
+    (program, model, report)
 }
 
 /// Sum of (probes, hits, lazy builds) over every relation's index stats.
@@ -136,22 +140,50 @@ fn greedy_profile_is_deterministic() {
     assert_eq!(r.strategy, "greedy");
     assert_eq!(r.components.len(), 1);
     assert_eq!(r.components[0].strategy, "greedy");
-    // Six settles, cheapest-first: the b-cycle (cost 0) before a's paths
-    // (cost 1). Each pop is one "round" with a single-tuple delta. Settles
-    // commit through the frontier, not `insert_outcome`, so the outcome
-    // totals stay zero — the per-pop deltas are the greedy ground truth.
-    assert_eq!(r.total_rounds(), 6);
-    assert_eq!(r.total_outcomes(), (0, 0, 0));
-    // Each pop settles exactly one atom; `changed` counts the candidates
-    // the settle queued (zero when a pop closes out a frontier).
-    let queued: Vec<usize> = r.components[0]
-        .rounds_detail
-        .iter()
-        .map(|round| round.changed)
-        .collect();
-    assert_eq!(queued, vec![1, 1, 0, 1, 1, 0]);
-    for round in &r.components[0].rounds_detail {
-        assert_eq!(round.deltas.iter().map(|(_, n)| n).sum::<usize>(), 1);
+    // Each round settles one cost level: the b-cycle (cost 0) before a's
+    // paths (cost 1), one derivation step per round, then the closing
+    // round.
+    assert_eq!(r.total_rounds(), 7);
+    assert_eq!(r.total_firings(), 9);
+    assert_eq!(r.total_derivations(), 8);
+
+    // With two arcs of weight 1 out of `a`, both `path` atoms tie at the
+    // least cost and settle in round 1.
+    let tie = SHORTEST_PATH.replace("arc(b, b, 0).", "arc(a, c, 1).");
+    let (_, _, r) = evaluate(&tie, Strategy::Greedy);
+    let first = &r.components[0].rounds_detail[0];
+    assert_eq!(first.deltas, vec![("path".to_string(), 2)]);
+
+    for src in [SHORTEST_PATH, tie.as_str()] {
+        let (program, model, r) = evaluate(src, Strategy::Greedy);
+        let c = &r.components[0];
+        // Every settle is one insert of a new tuple.
+        let tuples: usize = c.preds.iter().map(|p| model.count(&program, p)).sum();
+        assert_eq!(r.total_outcomes(), (tuples as u64, 0, 0));
+        // Walk the rounds in order: each round's settled tuples (its
+        // delta) all sit at the least cost not yet settled, so a round
+        // is one cost level and costs never decrease across rounds.
+        let mut unsettled: Vec<(f64, &str)> = Vec::new();
+        for pred in &c.preds {
+            for (_, cost) in model.tuples_of(&program, pred) {
+                unsettled.push((cost.and_then(|v| v.as_f64()).unwrap(), pred));
+            }
+        }
+        for round in &c.rounds_detail {
+            let least = unsettled.iter().map(|a| a.0).fold(f64::INFINITY, f64::min);
+            for (pred, n) in &round.deltas {
+                for _ in 0..*n {
+                    let at = unsettled
+                        .iter()
+                        .position(|&(cost, p)| cost == least && p == pred)
+                        .unwrap_or_else(|| {
+                            panic!("round {}: a {pred} settle above cost {least}", round.round)
+                        });
+                    unsettled.remove(at);
+                }
+            }
+        }
+        assert!(unsettled.is_empty(), "never settled: {unsettled:?}");
     }
 }
 
@@ -296,13 +328,14 @@ fn greedy_trace_text_is_golden() {
         trace(Strategy::Greedy),
         "\
 component 0 [greedy] {path, s}
-  pop 1: settle path(b, direct, b) @ 0: 1 derivation(s), 1 queued | Δ path +1
-  pop 2: settle s(b, b) @ 0: 1 derivation(s), 1 queued | Δ s +1
-  pop 3: settle path(b, b, b) @ 0: 1 derivation(s), 0 queued | Δ path +1
-  pop 4: settle path(a, direct, b) @ 1: 1 derivation(s), 1 queued | Δ path +1
-  pop 5: settle s(a, b) @ 1: 1 derivation(s), 1 queued | Δ s +1
-  pop 6: settle path(a, b, b) @ 1: 1 derivation(s), 0 queued | Δ path +1
-  fixpoint after 6 round(s)
+  round 1 (full): 3 firing(s), 2 derivation(s), 1 changed | Δ path +1
+  round 2: 1 firing(s), 1 derivation(s), 1 changed | Δ s +1
+  round 3: 1 firing(s), 1 derivation(s), 1 changed | Δ path +1
+  round 4: 1 firing(s), 1 derivation(s), 1 changed | Δ path +1
+  round 5: 1 firing(s), 1 derivation(s), 1 changed | Δ s +1
+  round 6: 1 firing(s), 1 derivation(s), 1 changed | Δ path +1
+  round 7: 1 firing(s), 1 derivation(s), 0 changed
+  fixpoint after 7 round(s)
 "
     );
 }
