@@ -25,11 +25,6 @@ pub struct Accumulator {
     /// Elements pushed so far (`count` and the `avg` divisor).
     count: usize,
     state: State,
-    /// Push index of the element that alone determines the current value
-    /// (first argmin/argmax, first decisive boolean); `None` when every
-    /// element contributes (`sum`, `count`, ties on the initial bound, a
-    /// boolean fold that never left its identity).
-    winner: Option<usize>,
 }
 
 #[derive(Clone, Debug)]
@@ -62,7 +57,6 @@ impl Accumulator {
             func,
             count: 0,
             state,
-            winner: None,
         }
     }
 
@@ -75,16 +69,6 @@ impl Accumulator {
     /// The aggregate function this accumulator folds.
     pub fn func(&self) -> AggFunc {
         self.func
-    }
-
-    /// Push index of the single element that determines the current value
-    /// — the first argmin/argmax for `min`/`max`, the first `true` of a
-    /// true `or`, the first `false` of a false `and`. `None` means every
-    /// pushed element is jointly responsible (`sum`, `count`, `avg`,
-    /// `product`, set folds, or a fold still at its identity). Tracking is
-    /// observation-only: the fold itself is bit-for-bit unchanged.
-    pub fn winner(&self) -> Option<usize> {
-        self.winner
     }
 
     /// Estimated heap bytes owned by the streaming state — zero for the
@@ -105,18 +89,12 @@ impl Accumulator {
 
     /// Fold one multiset element into the running state.
     pub fn push(&mut self, v: &Value) {
-        let idx = self.count;
         self.count += 1;
         match (&mut self.state, self.func) {
             (State::Undefined, _) => {}
             (_, AggFunc::Count) => {} // count ignores element types
             (State::Num(acc), func) => match v.as_num() {
                 Some(n) => {
-                    match func {
-                        AggFunc::Min if n < *acc => self.winner = Some(idx),
-                        AggFunc::Max if n > *acc => self.winner = Some(idx),
-                        _ => {}
-                    }
                     *acc = match func {
                         AggFunc::Min => (*acc).min(n),
                         AggFunc::Max => (*acc).max(n),
@@ -129,11 +107,6 @@ impl Accumulator {
             },
             (State::Bool(acc), func) => match v.as_bool() {
                 Some(b) => {
-                    match func {
-                        AggFunc::Or if b && !*acc => self.winner = Some(idx),
-                        AggFunc::And if !b && *acc => self.winner = Some(idx),
-                        _ => {}
-                    }
                     *acc = match func {
                         AggFunc::And => *acc && b,
                         AggFunc::Or => *acc || b,
@@ -171,12 +144,11 @@ impl Accumulator {
     /// across shards (groups are always folded whole, in enumeration
     /// order), and the lattice-law tests certify the algebra.
     ///
-    /// Winner attribution shifts `other`'s indices by `self.count`, so
-    /// provenance witnesses keep pointing at the decisive element of the
-    /// concatenated push sequence.
+    /// The fold keeps no record of which element decided it: a provenance
+    /// sink names the decisive element from the elements it buffered
+    /// itself.
     pub fn merge(&mut self, other: Accumulator) {
         debug_assert_eq!(self.func, other.func, "merge requires matching functions");
-        let offset = self.count;
         self.count += other.count;
         if matches!(self.func, AggFunc::Count) {
             return; // count ignores element types; the divisor is merged
@@ -185,35 +157,16 @@ impl Accumulator {
             (State::Undefined, _) => {}
             (s, State::Undefined) => *s = State::Undefined,
             (State::Num(a), State::Num(b)) => match self.func {
-                AggFunc::Min => {
-                    if b < *a {
-                        *a = b;
-                        self.winner = other.winner.map(|i| i + offset);
-                    }
-                }
-                AggFunc::Max => {
-                    if b > *a {
-                        *a = b;
-                        self.winner = other.winner.map(|i| i + offset);
-                    }
-                }
+                AggFunc::Min if b < *a => *a = b,
+                AggFunc::Max if b > *a => *a = b,
+                AggFunc::Min | AggFunc::Max => {}
                 AggFunc::Sum | AggFunc::HalfSum | AggFunc::Avg => *a = *a + b,
                 AggFunc::Product => *a = Real::new(a.get() * b.get()),
                 _ => unreachable!("numeric state on non-numeric func"),
             },
             (State::Bool(a), State::Bool(b)) => match self.func {
-                AggFunc::Or => {
-                    if b && !*a {
-                        *a = true;
-                        self.winner = other.winner.map(|i| i + offset);
-                    }
-                }
-                AggFunc::And => {
-                    if !b && *a {
-                        *a = false;
-                        self.winner = other.winner.map(|i| i + offset);
-                    }
-                }
+                AggFunc::Or => *a = *a || b,
+                AggFunc::And => *a = *a && b,
                 _ => unreachable!("boolean state on non-boolean func"),
             },
             (State::Union(a), State::Union(b)) => a.extend(b),
@@ -354,46 +307,6 @@ mod tests {
         assert_eq!(apply(AggFunc::Sum, &bad), None);
         assert_eq!(apply(AggFunc::And, &nums(&[0.5])), None);
         assert_eq!(apply(AggFunc::Union, &nums(&[1.0])), None);
-    }
-
-    #[test]
-    fn winner_tracks_the_determining_element() {
-        // min: first strict improvement wins; later ties do not steal it.
-        let mut acc = Accumulator::new(AggFunc::Min);
-        for v in nums(&[3.0, 1.0, 2.0, 1.0]) {
-            acc.push(&v);
-        }
-        assert_eq!(acc.winner(), Some(1));
-        assert_eq!(acc.finish(), Some(Value::num(1.0)));
-
-        let mut acc = Accumulator::new(AggFunc::Max);
-        for v in nums(&[3.0, 5.0, 5.0]) {
-            acc.push(&v);
-        }
-        assert_eq!(acc.winner(), Some(1));
-
-        // or: the first true is the witness; an all-false fold has none.
-        let mut acc = Accumulator::new(AggFunc::Or);
-        for v in [Value::Bool(false), Value::Bool(true), Value::Bool(true)] {
-            acc.push(&v);
-        }
-        assert_eq!(acc.winner(), Some(1));
-        let mut acc = Accumulator::new(AggFunc::Or);
-        acc.push(&Value::Bool(false));
-        assert_eq!(acc.winner(), None);
-
-        let mut acc = Accumulator::new(AggFunc::And);
-        for v in [Value::Bool(true), Value::Bool(false)] {
-            acc.push(&v);
-        }
-        assert_eq!(acc.winner(), Some(1));
-
-        // Joint-responsibility folds never name a winner.
-        let mut acc = Accumulator::new(AggFunc::Sum);
-        for v in nums(&[1.0, 2.0]) {
-            acc.push(&v);
-        }
-        assert_eq!(acc.winner(), None);
     }
 
     #[test]

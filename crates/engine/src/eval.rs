@@ -27,10 +27,7 @@ use crate::events::{Event, EventSink, InsertOutcome, NoopSink};
 use crate::interp::{Interp, Sig, Tuple};
 use crate::model::Model;
 use crate::plan::{plan_conjuncts, plan_rule, prem_rewrites, Optimize, Plan, Rewrites, Step};
-use crate::provenance::{
-    select_witnesses, AggWitness, BodyAtom, Capture, Goal, NoCapture, Provenance,
-    ProvenanceTracker, RuleProbe, WhyNotReport,
-};
+use crate::provenance::{Goal, RuleProbe, WhyNotReport};
 use crate::value::{RuntimeDomain, Value};
 use maglog_analysis::{check_program, derivation_cone, key_arity, uniform_binding};
 use maglog_datalog::graph::{components, Component};
@@ -198,7 +195,7 @@ impl<'p> MonotonicEngine<'p> {
         edb: &Edb,
         sink: &mut S,
     ) -> Result<Model, EvalError> {
-        self.evaluate_inner(edb, sink, &mut NoCapture, None)
+        self.evaluate_inner(edb, sink, None)
     }
 
     /// Evaluate a ground point query. Without
@@ -220,41 +217,13 @@ impl<'p> MonotonicEngine<'p> {
         goal: &Goal,
         sink: &mut S,
     ) -> Result<Model, EvalError> {
-        self.evaluate_inner(edb, sink, &mut NoCapture, Some(goal))
+        self.evaluate_inner(edb, sink, Some(goal))
     }
 
-    /// Like [`evaluate_with_sink`](Self::evaluate_with_sink), additionally
-    /// recording the derivation DAG of every accepted insert/improvement.
-    /// A greedy candidate can settle rounds after the round that derived
-    /// it, past the tracker's per-round pending heads, so greedy is
-    /// clamped to semi-naive here; the model is identical either way.
-    pub fn evaluate_with_provenance<S: EventSink>(
+    fn evaluate_inner<S: EventSink>(
         &self,
         edb: &Edb,
         sink: &mut S,
-    ) -> Result<(Model, Provenance), EvalError> {
-        let mut options = self.options.clone();
-        if options.strategy == Strategy::Greedy {
-            options.strategy = Strategy::SemiNaive;
-        }
-        // Provenance capture threads per-derivation trails through the
-        // firing order; clamp to the sequential evaluator (the model is
-        // identical either way, like the greedy clamp above).
-        options.workers = 1;
-        let engine = MonotonicEngine {
-            program: self.program,
-            options,
-        };
-        let mut cap = ProvenanceTracker::new(self.program);
-        let model = engine.evaluate_inner(edb, sink, &mut cap, None)?;
-        Ok((model, cap.finish()))
-    }
-
-    fn evaluate_inner<S: EventSink, C: Capture>(
-        &self,
-        edb: &Edb,
-        sink: &mut S,
-        cap: &mut C,
         query: Option<&Goal>,
     ) -> Result<Model, EvalError> {
         // The PreM rewrite needs the analysis report even when the
@@ -321,7 +290,6 @@ impl<'p> MonotonicEngine<'p> {
                     demand.as_ref().map(|d| &d.filter),
                     &mut stats,
                     sink,
-                    cap,
                 )
                 .map_err(|e| match e {
                     EvalError::NonTermination {
@@ -465,7 +433,7 @@ impl<'p> MonotonicEngine<'p> {
 
     /// Evaluate one component to fixpoint. Returns the number of rounds.
     #[allow(clippy::too_many_arguments)]
-    fn eval_component<S: EventSink, C: Capture>(
+    fn eval_component<S: EventSink>(
         &self,
         db: &mut Interp,
         cdb: &BTreeSet<Pred>,
@@ -475,9 +443,12 @@ impl<'p> MonotonicEngine<'p> {
         demand: Option<&DemandFilter>,
         stats: &mut EvalStats,
         sink: &mut S,
-        cap: &mut C,
     ) -> Result<usize, EvalError> {
+        // A provenance sink gets semi-naive in place of greedy: a greedy
+        // candidate settles rounds after the round that derived it, past
+        // the sink's per-round pending heads. The model is the same.
         let greedy = self.options.strategy == Strategy::Greedy
+            && !sink.wants_provenance()
             && greedy_eligible(self.program, cdb, rule_indices);
         // Loaded before any index is registered: it empties the CDB
         // relations.
@@ -617,10 +588,9 @@ impl<'p> MonotonicEngine<'p> {
                 self.options.max_rounds,
             )
         };
-        // Provenance capture threads derivation trails through the firing
-        // order, so captured runs fire on one shard (their entry point also
-        // clamps `workers`).
-        let shards = if C::ENABLED {
+        // Provenance events nest in firing order, so a provenance sink
+        // gets one shard.
+        let shards = if sink.wants_provenance() {
             1
         } else {
             par::resolve_workers(self.options.workers)
@@ -645,12 +615,8 @@ impl<'p> MonotonicEngine<'p> {
                 round: rounds + 1,
                 full,
             });
-            if C::ENABLED {
-                cap.begin_round(ci, rounds + 1);
-            }
             let derived = if shards == 1 {
-                // The one-shard round fires inline, into the real sink and
-                // capture.
+                // The one-shard round fires inline, into the real sink.
                 let mut buffer =
                     RoundBuffer::new(self.program, check, prune, demand, &mut rule_pushes);
                 let ctx = Ctx {
@@ -658,7 +624,7 @@ impl<'p> MonotonicEngine<'p> {
                     db,
                     agg: &agg_counters,
                 };
-                self.fire_shard(&ctx, &execs, full, &delta, (0, 1), &mut buffer, stats, sink, cap)?;
+                self.fire_shard(&ctx, &execs, full, &delta, (0, 1), &mut buffer, stats, sink)?;
                 stats.pruned += buffer.pruned;
                 buffer.map
             } else {
@@ -687,9 +653,12 @@ impl<'p> MonotonicEngine<'p> {
             };
 
             // Apply derivations: join into db, recording changed keys.
-            let new_delta = self.apply_round(db, derived, &execs, sink, cap);
-            if C::ENABLED {
-                cap.end_round();
+            let mut new_delta = self.apply_round(db, derived, &execs, sink);
+            if sink.wants_provenance() {
+                // A relaxed seed fires once, from the first delta tuple that
+                // reaches it, and that tuple is its witness: take the delta
+                // in canonical order, not the round buffer's hash order.
+                new_delta.values_mut().for_each(|keys| keys.sort_unstable());
             }
 
             rounds += 1;
@@ -742,13 +711,12 @@ impl<'p> MonotonicEngine<'p> {
     /// per-derivation insert outcomes and returning the next round's
     /// delta. The buffered `Arc` keys flow straight into the relation and
     /// the delta — no re-cloning of tuple storage.
-    fn apply_round<S: EventSink, C: Capture>(
+    fn apply_round<S: EventSink>(
         &self,
         db: &mut Interp,
         derived: Derived,
         execs: &[RuleExec<'_>],
         sink: &mut S,
-        cap: &mut C,
     ) -> HashMap<Pred, Vec<Arc<Tuple>>> {
         let mut new_delta: HashMap<Pred, Vec<Arc<Tuple>>> = HashMap::new();
         for ((pred, key), entry) in derived {
@@ -758,7 +726,18 @@ impl<'p> MonotonicEngine<'p> {
                 .cost_spec(pred)
                 .map(|c| RuntimeDomain::new(c.domain));
             let rel = db.relation_mut(pred);
-            let outcome = match rel.get(&key) {
+            // Each outcome is reported with the value the relation holds
+            // once it is applied, before that value moves into it.
+            let mut report = |outcome, cost: &Option<Value>| {
+                sink.on(&Event::Insert {
+                    rule: execs[slot].ri,
+                    pred,
+                    key: &key,
+                    cost,
+                    outcome,
+                })
+            };
+            match rel.get(&key) {
                 None => {
                     // For default-value predicates, an explicit entry at
                     // the default value is not a change.
@@ -766,41 +745,33 @@ impl<'p> MonotonicEngine<'p> {
                         && domain
                             .as_ref()
                             .is_some_and(|d| cost.as_ref() == Some(&d.bottom()));
-                    if C::ENABLED && !is_default_entry {
-                        cap.commit(pred, &key, &cost, false);
-                    }
-                    rel.insert_arc(key.clone(), cost);
-                    if !is_default_entry {
-                        new_delta.entry(pred).or_default().push(key);
-                        InsertOutcome::New
+                    if is_default_entry {
+                        report(InsertOutcome::Noop, &cost);
+                        rel.insert_arc(key, cost);
                     } else {
-                        InsertOutcome::Noop
+                        report(InsertOutcome::New, &cost);
+                        rel.insert_arc(key.clone(), cost);
+                        new_delta.entry(pred).or_default().push(key);
                     }
                 }
                 Some(existing) => {
-                    let mut outcome = InsertOutcome::Noop;
-                    if let (Some(old), Some(new), Some(d)) =
-                        (existing.clone(), &cost, &domain)
-                    {
-                        let joined = d.join(&old, new);
-                        if joined != old {
+                    let joined = match (existing, &cost, &domain) {
+                        (Some(old), Some(new), Some(d)) => {
+                            Some(d.join(old, new)).filter(|joined| joined != old)
+                        }
+                        _ => None,
+                    };
+                    match joined {
+                        Some(joined) => {
                             let joined = Some(joined);
-                            if C::ENABLED {
-                                cap.commit(pred, &key, &joined, true);
-                            }
+                            report(InsertOutcome::Improved, &joined);
                             rel.insert_arc(key.clone(), joined);
                             new_delta.entry(pred).or_default().push(key);
-                            outcome = InsertOutcome::Improved;
                         }
+                        None => report(InsertOutcome::Noop, existing),
                     }
-                    outcome
                 }
-            };
-            sink.on(&Event::Insert {
-                rule: execs[slot].ri,
-                pred,
-                outcome,
-            });
+            }
         }
         new_delta
     }
@@ -811,7 +782,7 @@ impl<'p> MonotonicEngine<'p> {
     /// and fires only the seeds the shard owns ([`claim_seed`]). The one
     /// shard `(0, 1)` owns every slot and seed.
     #[allow(clippy::too_many_arguments)]
-    fn fire_shard<S: EventSink, C: Capture>(
+    fn fire_shard<S: EventSink>(
         &self,
         ctx: &Ctx<'_>,
         execs: &[RuleExec<'_>],
@@ -821,19 +792,15 @@ impl<'p> MonotonicEngine<'p> {
         derived: &mut RoundBuffer<'_>,
         stats: &mut EvalStats,
         sink: &mut S,
-        cap: &mut C,
     ) -> Result<(), EvalError> {
         if full {
             let (me, shards) = shard;
             for (slot, exec) in execs.iter().enumerate().skip(me).step_by(shards) {
                 stats.firings += 1;
                 sink.on(&Event::FireStart { rule: exec.ri });
-                if C::ENABLED {
-                    cap.begin_rule(exec.ri);
-                }
                 derived.current = slot;
                 let mut binding = Binding::new();
-                exec_steps(ctx, exec.rule, &exec.plan.steps, &mut binding, derived, cap)?;
+                exec_steps(ctx, exec.rule, &exec.plan.steps, &mut binding, derived, sink)?;
                 sink.on(&Event::FireEnd { rule: exec.ri });
             }
             return Ok(());
@@ -855,7 +822,6 @@ impl<'p> MonotonicEngine<'p> {
                         derived,
                         stats,
                         sink,
-                        cap,
                         shard,
                     )?;
                 }
@@ -872,8 +838,9 @@ impl<'p> MonotonicEngine<'p> {
     /// through [`buffer_derivation`], the rule one buffer applies to a
     /// repeated key, so the merged buffer is the one-shard round's buffer.
     /// Each shard's report then reaches `sink` once, in the round's
-    /// [`Event::ParallelRound`], before the first merge conflict (if any)
-    /// is returned.
+    /// [`Event::ParallelRound`], also when the round fails: only then is
+    /// the error returned, the lowest failing shard's own error before
+    /// the first merge conflict.
     #[allow(clippy::too_many_arguments)]
     fn fire_sharded<S: EventSink>(
         &self,
@@ -894,7 +861,7 @@ impl<'p> MonotonicEngine<'p> {
         // Clock reads are opt-in per sink; `None` (the default) keeps every
         // one out of the shards and the barrier.
         let meter = sink.worker_meter();
-        let shard_rounds: Vec<Result<ShardRound, EvalError>> = std::thread::scope(|s| {
+        let shard_rounds: Vec<ShardRound> = std::thread::scope(|s| {
             let handles: Vec<_> = (0..shards)
                 .map(|me| {
                     let meter = meter.clone();
@@ -910,7 +877,7 @@ impl<'p> MonotonicEngine<'p> {
                         };
                         let mut buffer =
                             RoundBuffer::new(self.program, check, prune, demand, &mut pushes);
-                        self.fire_shard(
+                        let fired = self.fire_shard(
                             &ctx,
                             execs,
                             full,
@@ -919,17 +886,16 @@ impl<'p> MonotonicEngine<'p> {
                             &mut buffer,
                             &mut stats,
                             &mut tally,
-                            &mut NoCapture,
-                        )?;
+                        );
                         stats.pruned += buffer.pruned;
-                        let entries = buffer.map;
-                        Ok(ShardRound {
+                        let entries = fired.map(|()| buffer.map).map_err(Box::new);
+                        ShardRound {
                             entries,
                             pushes,
                             stats,
                             agg,
                             sample: tally.finish(),
-                        })
+                        }
                     })
                 })
                 .collect();
@@ -938,15 +904,15 @@ impl<'p> MonotonicEngine<'p> {
                 .map(|h| h.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic)))
                 .collect()
         });
-        // The lowest shard's error wins: deterministic for a fixed shard
-        // count.
-        let results = shard_rounds.into_iter().collect::<Result<Vec<_>, _>>()?;
         let collect = meter.as_ref().map(|m| m.now_nanos());
         let mut samples = Vec::with_capacity(shards);
         let mut merged = Derived::new();
         let mut merges = 0u64;
+        // The lowest shard's own error wins, then the first merge
+        // conflict: deterministic for a fixed shard count.
+        let mut failed = None;
         let mut conflict = None;
-        for r in results {
+        for r in shard_rounds {
             stats.firings += r.stats.firings;
             stats.pruned += r.stats.pruned;
             for (total, n) in rule_pushes.iter_mut().zip(&r.pushes) {
@@ -958,7 +924,14 @@ impl<'p> MonotonicEngine<'p> {
                 readings.collect = collect;
             }
             samples.push(sample);
-            for ((pred, key), entry) in r.entries {
+            let entries = match r.entries {
+                Ok(entries) => entries,
+                Err(e) => {
+                    failed.get_or_insert(*e);
+                    continue;
+                }
+            };
+            for ((pred, key), entry) in entries {
                 match buffer_derivation(self.program, check, &mut merged, pred, key, entry) {
                     Ok(repeated) => merges += repeated as u64,
                     Err(e) => {
@@ -967,14 +940,14 @@ impl<'p> MonotonicEngine<'p> {
                 }
             }
         }
-        // A conflicting round still reports its barrier before it fails.
+        // A failing round still reports its barrier before it fails.
         sink.on(&Event::ParallelRound {
             round,
             workers: shards,
             merges,
             samples: &samples,
         });
-        conflict.map_or(Ok(merged), Err)
+        failed.or(conflict).map_or(Ok(merged), Err)
     }
 
     /// Fire one semi-naive driver for one delta tuple, once per seed that
@@ -982,7 +955,7 @@ impl<'p> MonotonicEngine<'p> {
     /// A positive-atom driver has one seed, the delta tuple's binding; an
     /// aggregate driver has one seed per group the tuple affects.
     #[allow(clippy::too_many_arguments)]
-    fn fire_driver<S: EventSink, C: Capture>(
+    fn fire_driver<S: EventSink>(
         &self,
         ctx: &Ctx<'_>,
         exec_index: usize,
@@ -993,7 +966,6 @@ impl<'p> MonotonicEngine<'p> {
         derived: &mut RoundBuffer<'_>,
         stats: &mut EvalStats,
         sink: &mut S,
-        cap: &mut C,
         shard: (usize, usize),
     ) -> Result<(), EvalError> {
         let rule = exec.rule;
@@ -1020,7 +992,7 @@ impl<'p> MonotonicEngine<'p> {
                 unreachable!("discovering driver on non-aggregate")
             };
             let mut seeds = Vec::new();
-            enumerate_conjuncts(ctx, agg, order, 0, &mut binding, &mut NoCapture, &mut |b, _| {
+            enumerate_conjuncts(ctx, agg, order, 0, &mut binding, &mut NoopSink, &mut |b, _| {
                 seeds.push(grouping_seed(&driver.groupings, b));
             })?;
             seeds
@@ -1031,7 +1003,7 @@ impl<'p> MonotonicEngine<'p> {
             if driver.relax.is_some() {
                 return self.fire_relaxed(
                     ctx, exec_index, exec, driver, delta_key, &cost, &binding, seen_seeds,
-                    derived, stats, sink, cap, shard,
+                    derived, stats, sink, shard,
                 );
             }
             // An aggregate driver keeps only the grouping variables: the
@@ -1054,19 +1026,18 @@ impl<'p> MonotonicEngine<'p> {
             }
             stats.firings += 1;
             sink.on(&Event::FireStart { rule: exec.ri });
-            if C::ENABLED {
-                cap.begin_rule(exec.ri);
-                // A positive-atom driver's seeded plan skips re-matching the
-                // delta atom, so put it on the trail by hand. (Aggregate
-                // drivers re-run the full plan: their trail is complete.)
-                if driver.conjunct.is_none() {
-                    cap.push_atom(driver.pred, delta_key, &cost);
-                }
+            // A positive-atom driver's seeded plan skips re-matching the
+            // delta atom, so report its match by hand. (Aggregate drivers
+            // re-run the full plan: their matches are all reported.)
+            let seeded = driver.conjunct.is_none();
+            if seeded {
+                let (pred, key, cost) = (driver.pred, delta_key, &cost);
+                note(sink, Event::Match { pred, key, cost });
             }
             derived.current = exec_index;
-            let r = exec_steps(ctx, rule, &driver.plan.steps, &mut b, derived, cap);
-            if C::ENABLED && driver.conjunct.is_none() {
-                cap.pop_atom();
+            let r = exec_steps(ctx, rule, &driver.plan.steps, &mut b, derived, sink);
+            if seeded {
+                note(sink, Event::Unmatch);
             }
             sink.on(&Event::FireEnd { rule: exec.ri });
             r?;
@@ -1078,7 +1049,7 @@ impl<'p> MonotonicEngine<'p> {
     /// bind the result variable to the element and skip the aggregate
     /// entirely.
     #[allow(clippy::too_many_arguments)]
-    fn fire_relaxed<S: EventSink, C: Capture>(
+    fn fire_relaxed<S: EventSink>(
         &self,
         ctx: &Ctx<'_>,
         exec_index: usize,
@@ -1091,7 +1062,6 @@ impl<'p> MonotonicEngine<'p> {
         derived: &mut RoundBuffer<'_>,
         stats: &mut EvalStats,
         sink: &mut S,
-        cap: &mut C,
         shard: (usize, usize),
     ) -> Result<(), EvalError> {
         let rule = exec.rule;
@@ -1101,7 +1071,7 @@ impl<'p> MonotonicEngine<'p> {
         let Term::Var(result) = rule_agg.result else {
             unreachable!("relaxation requires a variable result")
         };
-        let Some(element) = cost.clone() else {
+        let Some(element) = cost else {
             return Ok(());
         };
         let mut seed_vec = grouping_seed(&driver.groupings, binding);
@@ -1116,35 +1086,20 @@ impl<'p> MonotonicEngine<'p> {
         }
         stats.firings += 1;
         sink.on(&Event::FireStart { rule: exec.ri });
-        if C::ENABLED {
-            cap.begin_rule(exec.ri);
-            // The relaxed derivation's aggregate witness is the delta
-            // element itself: the group was not rescanned, the lattice
-            // join resolves the rest (marked `partial`).
-            cap.push_agg(AggWitness {
-                lit: driver.lit,
-                func: rule_agg.func,
-                result: element.clone(),
-                elements: 1,
-                witnesses: vec![(
-                    element,
-                    vec![BodyAtom {
-                        pred: driver.pred,
-                        key: Arc::new(delta_key.clone()),
-                        cost: cost.clone(),
-                    }],
-                )],
-                witnesses_total: 1,
-                partial: true,
-            });
-        }
+        // The relaxed derivation's aggregate is the delta element alone:
+        // the group was not rescanned, the lattice join resolves the rest
+        // (marked `partial`).
+        let (lit, func, group): (_, _, &[Value]) = (driver.lit, rule_agg.func, &[]);
+        note(sink, Event::AggBegin);
+        note(sink, Event::Match { pred: driver.pred, key: delta_key, cost });
+        note(sink, Event::AggElement { group, element });
+        note(sink, Event::Unmatch);
+        note(sink, Event::AggResult { lit, func, group, result: element, partial: true });
         derived.current = exec_index;
         derived.joining = true;
-        let r = exec_steps(ctx, rule, &relax.steps, &mut b, derived, cap);
+        let r = exec_steps(ctx, rule, &relax.steps, &mut b, derived, sink);
         derived.joining = false;
-        if C::ENABLED {
-            cap.pop_agg();
-        }
+        note(sink, Event::AggEnd);
         sink.on(&Event::FireEnd { rule: exec.ri });
         r
     }
@@ -1175,11 +1130,12 @@ fn claim_seed(
         && seen_seeds.insert((exec_index, disc, seed))
 }
 
-/// One shard's contribution to a round barrier: its round buffer, the
-/// counters the barrier folds into the component totals, and its report
-/// for the caller's sink.
+/// One shard's contribution to a round barrier: its round buffer (or the
+/// error that stopped its firing, boxed so the record stays as small as
+/// the buffer), the counters the barrier folds into the component totals,
+/// and its report for the caller's sink.
 struct ShardRound {
-    entries: Derived,
+    entries: Result<Derived, Box<EvalError>>,
     /// Per-exec-slot head derivations this round.
     pushes: Vec<u64>,
     /// This round's firings and pruned derivations.
@@ -1642,19 +1598,29 @@ fn render_key(program: &Program, key: &Tuple) -> String {
         .join(", ")
 }
 
+/// Report a per-binding provenance event, to a sink that
+/// [wants it](EventSink::wants_provenance). For every other sink the call
+/// compiles to nothing.
+#[inline(always)]
+fn note<S: EventSink>(sink: &mut S, event: Event<'_>) {
+    if sink.wants_provenance() {
+        sink.on(&event);
+    }
+}
+
 /// Execute the remaining plan steps under `binding`, emitting head
-/// derivations into `out`. `cap` observes matched body tuples and
-/// aggregate witnesses; with [`NoCapture`] every hook compiles away.
-fn exec_steps<C: Capture>(
+/// derivations into `out` and reporting matched body tuples, aggregate
+/// results and heads to a `sink` that wants provenance.
+fn exec_steps<S: EventSink>(
     ctx: &Ctx<'_>,
     rule: &Rule,
     steps: &[Step],
     binding: &mut Binding,
     out: &mut RoundBuffer<'_>,
-    cap: &mut C,
+    sink: &mut S,
 ) -> Result<(), EvalError> {
     let Some((step, rest)) = steps.split_first() else {
-        return emit_head(ctx, rule, binding, out, cap);
+        return emit_head(ctx, rule, binding, out, sink);
     };
     match step {
         Step::Atom { lit, .. } => {
@@ -1662,13 +1628,9 @@ fn exec_steps<C: Capture>(
                 unreachable!("Atom step on non-positive literal")
             };
             for_each_match(ctx, atom, binding, &mut |b, key, cost| {
-                if C::ENABLED {
-                    cap.push_atom(atom.pred, key, cost);
-                }
-                let r = exec_steps(ctx, rule, rest, b, out, cap);
-                if C::ENABLED {
-                    cap.pop_atom();
-                }
+                note(sink, Event::Match { pred: atom.pred, key, cost });
+                let r = exec_steps(ctx, rule, rest, b, out, sink);
+                note(sink, Event::Unmatch);
                 r
             })
         }
@@ -1687,14 +1649,14 @@ fn exec_steps<C: Capture>(
             match binding.get(*target) {
                 Some(existing) => {
                     if values_equal(existing, &value) {
-                        exec_steps(ctx, rule, rest, binding, out, cap)
+                        exec_steps(ctx, rule, rest, binding, out, sink)
                     } else {
                         Ok(())
                     }
                 }
                 None => {
                     binding.bind(*target, value);
-                    let r = exec_steps(ctx, rule, rest, binding, out, cap);
+                    let r = exec_steps(ctx, rule, rest, binding, out, sink);
                     binding.unbind(*target);
                     r
                 }
@@ -1709,7 +1671,7 @@ fn exec_steps<C: Capture>(
                 return Ok(());
             };
             if compare_values(b.op, &l, &r) {
-                exec_steps(ctx, rule, rest, binding, out, cap)
+                exec_steps(ctx, rule, rest, binding, out, sink)
             } else {
                 Ok(())
             }
@@ -1721,7 +1683,7 @@ fn exec_steps<C: Capture>(
             if atom_holds(ctx, atom, binding) {
                 Ok(())
             } else {
-                exec_steps(ctx, rule, rest, binding, out, cap)
+                exec_steps(ctx, rule, rest, binding, out, sink)
             }
         }
         Step::Agg {
@@ -1741,19 +1703,19 @@ fn exec_steps<C: Capture>(
                 groupings,
                 conjunct_order,
                 binding,
-                cap,
-                &mut |b, cap| exec_steps(ctx, rule, rest, b, out, cap),
+                sink,
+                &mut |b, sink| exec_steps(ctx, rule, rest, b, out, sink),
             )
         }
     }
 }
 
-fn emit_head<C: Capture>(
+fn emit_head<S: EventSink>(
     ctx: &Ctx<'_>,
     rule: &Rule,
     binding: &Binding,
     out: &mut RoundBuffer<'_>,
-    cap: &mut C,
+    sink: &mut S,
 ) -> Result<(), EvalError> {
     let spec = ctx.program.cost_spec(rule.head.pred);
     let has_cost = spec.is_some();
@@ -1800,9 +1762,7 @@ fn emit_head<C: Capture>(
             }
         }
     }
-    if C::ENABLED {
-        cap.head(rule.head.pred, &key, &cost);
-    }
+    note(sink, Event::Head { pred: rule.head.pred, key: &key, cost: &cost });
     out.push(rule.head.pred, key, cost)
 }
 
@@ -2042,7 +2002,7 @@ fn atom_holds(ctx: &Ctx<'_>, atom: &Atom, binding: &Binding) -> bool {
 /// Evaluate the aggregate subgoal: enumerate the conjunction, group, apply
 /// the function, and continue per satisfying (grouping, result) binding.
 #[allow(clippy::too_many_arguments)]
-fn eval_aggregate<C: Capture>(
+fn eval_aggregate<S: EventSink>(
     ctx: &Ctx<'_>,
     rule: &Rule,
     lit: usize,
@@ -2050,20 +2010,17 @@ fn eval_aggregate<C: Capture>(
     grouping_vars: &[Var],
     conjunct_order: &[usize],
     binding: &mut Binding,
-    cap: &mut C,
-    k: &mut dyn FnMut(&mut Binding, &mut C) -> Result<(), EvalError>,
+    sink: &mut S,
+    k: &mut dyn FnMut(&mut Binding, &mut S) -> Result<(), EvalError>,
 ) -> Result<(), EvalError> {
-
     // Enumerate all assignments of the conjunction (restricted by the
     // current binding), folding each multiset element straight into its
     // group's streaming accumulator — no per-group element buffering. The
     // fold order per group is the enumeration order, same as before.
-    // Under capture, each element additionally buffers the conjunct tuples
-    // that supplied it (the trail slice since `mark`), so the winner's
-    // supports can be reported without re-deriving them.
-    let mark = if C::ENABLED { cap.trail_mark() } else { 0 };
+    // A provenance sink sees every element, after the conjunct matches
+    // that supplied it, and buffers them itself.
+    note(sink, Event::AggBegin);
     let mut groups: HashMap<Vec<Value>, aggregate::Accumulator> = HashMap::new();
-    let mut buffers: HashMap<Vec<Value>, Vec<(Value, Vec<BodyAtom>)>> = HashMap::new();
     {
         let mut scratch = binding.clone();
         enumerate_conjuncts(
@@ -2072,8 +2029,8 @@ fn eval_aggregate<C: Capture>(
             conjunct_order,
             0,
             &mut scratch,
-            cap,
-            &mut |b: &Binding, cap: &mut C| {
+            sink,
+            &mut |b: &Binding, sink: &mut S| {
                 let gv: Vec<Value> = grouping_vars
                     .iter()
                     .map(|v| b.get(*v).cloned().expect("grouping bound at collection"))
@@ -2082,12 +2039,7 @@ fn eval_aggregate<C: Capture>(
                     Some(e) => b.get(e).cloned().expect("multiset var bound"),
                     None => Value::Bool(true),
                 };
-                if C::ENABLED {
-                    buffers
-                        .entry(gv.clone())
-                        .or_default()
-                        .push((element.clone(), cap.trail_since(mark)));
-                }
+                note(sink, Event::AggElement { group: &gv, element: &element });
                 groups
                     .entry(gv)
                     .or_insert_with(|| aggregate::Accumulator::new(agg.func))
@@ -2129,8 +2081,6 @@ fn eval_aggregate<C: Capture>(
         .set(ctx.agg.peak_bytes.get().max(live_bytes));
 
     for (gv, acc) in groups {
-        let elements = acc.count();
-        let winner = acc.winner();
         let Some(result) = acc.finish() else {
             continue; // undefined (empty avg / type error): unsatisfiable
         };
@@ -2152,73 +2102,56 @@ fn eval_aggregate<C: Capture>(
             }
         }
         if ok {
-            if C::ENABLED {
-                let (witnesses, witnesses_total) =
-                    select_witnesses(winner, buffers.remove(&gv).unwrap_or_default());
-                cap.push_agg(AggWitness {
-                    lit,
-                    func: agg.func,
-                    result: result.clone(),
-                    elements,
-                    witnesses,
-                    witnesses_total,
-                    partial: false,
-                });
-            }
+            let func = agg.func;
+            note(sink, Event::AggResult { lit, func, group: &gv, result: &result, partial: false });
             match &agg.result {
                 Term::Const(c) => {
                     if values_equal(&Value::from_const(*c), &result) {
-                        k(binding, cap)?;
+                        k(binding, sink)?;
                     }
                 }
                 Term::Var(rv) => match binding.get(*rv) {
                     Some(bound) => {
                         if values_equal(bound, &result) {
-                            k(binding, cap)?;
+                            k(binding, sink)?;
                         }
                     }
                     None => {
                         binding.bind(*rv, result.clone());
-                        k(binding, cap)?;
+                        k(binding, sink)?;
                         binding.unbind(*rv);
                     }
                 },
-            }
-            if C::ENABLED {
-                cap.pop_agg();
             }
         }
         for v in fresh {
             binding.unbind(v);
         }
     }
+    note(sink, Event::AggEnd);
     Ok(())
 }
 
 /// Enumerate all satisfying assignments of the aggregate's conjunction in
 /// the planned order.
-fn enumerate_conjuncts<C: Capture>(
+fn enumerate_conjuncts<S: EventSink>(
     ctx: &Ctx<'_>,
     agg: &maglog_datalog::Aggregate,
     order: &[usize],
     depth: usize,
     binding: &mut Binding,
-    cap: &mut C,
-    emit: &mut dyn FnMut(&Binding, &mut C),
+    sink: &mut S,
+    emit: &mut dyn FnMut(&Binding, &mut S),
 ) -> Result<(), EvalError> {
     if depth == order.len() {
-        emit(binding, cap);
+        emit(binding, sink);
         return Ok(());
     }
     let atom = &agg.conjuncts[order[depth]];
     for_each_match(ctx, atom, binding, &mut |b, key, cost| {
-        if C::ENABLED {
-            cap.push_atom(atom.pred, key, cost);
-        }
-        let r = enumerate_conjuncts(ctx, agg, order, depth + 1, b, cap, emit);
-        if C::ENABLED {
-            cap.pop_atom();
-        }
+        note(sink, Event::Match { pred: atom.pred, key, cost });
+        let r = enumerate_conjuncts(ctx, agg, order, depth + 1, b, sink, emit);
+        note(sink, Event::Unmatch);
         r
     })
 }
@@ -2517,8 +2450,8 @@ fn probe_steps(
                 groupings,
                 conjunct_order,
                 binding,
-                &mut NoCapture,
-                &mut |b, _cap| probe_steps(ctx, rule, steps, idx + 1, b, st),
+                &mut NoopSink,
+                &mut |b, _| probe_steps(ctx, rule, steps, idx + 1, b, st),
             )
         }
     }
@@ -3306,12 +3239,22 @@ mod tests {
     fn parallel_surfaces_cost_conflicts() {
         // Two rules derive p(a) at different costs in the same round; the
         // Definition 2.6 check must fire at whatever worker count, whether
-        // the colliding pushes land in one shard or meet at the barrier.
-        let src = r#"
+        // the colliding pushes meet at the barrier (the first program: its
+        // two rules go to shards 0 and 1) or inside one shard (the second:
+        // exec slots 0 and 2 share shard 0).
+        let at_the_barrier = r#"
             declare pred p/2 cost min_real.
             base(a).
             seed(X) :- base(X).
             p(X, 1) :- seed(X).
+            p(X, 2) :- seed(X).
+        "#;
+        let in_one_shard = r#"
+            declare pred p/2 cost min_real.
+            base(a).
+            seed(X) :- base(X).
+            p(X, 1) :- seed(X).
+            p(X, 1) :- seed(X), base(X).
             p(X, 2) :- seed(X).
         "#;
         /// The round starts and barrier records, in order.
@@ -3325,27 +3268,27 @@ mod tests {
                 }
             }
         }
-        let p = parse_program(src).unwrap();
-        for workers in [1usize, 2, 4] {
-            let mut spy = BarrierSpy(Vec::new());
-            let r = MonotonicEngine::with_options(
-                &p,
-                EvalOptions {
-                    workers,
-                    allow_unchecked: true,
-                    ..Default::default()
-                },
-            )
-            .evaluate_with_sink(&Edb::new(), &mut spy);
-            assert!(
-                matches!(r, Err(EvalError::CostConflict { .. })),
-                "workers={workers}: {r:?}"
-            );
-            // A full round deals the two rules to shards 0 and 1, so from
-            // two workers on they meet at the barrier, which still reports
-            // the failing round.
-            if workers > 1 {
-                assert_eq!(spy.0[spy.0.len() - 2..], [("start", 1), ("barrier", 1)]);
+        for src in [at_the_barrier, in_one_shard] {
+            let p = parse_program(src).unwrap();
+            for workers in [1usize, 2, 4] {
+                let mut spy = BarrierSpy(Vec::new());
+                let r = MonotonicEngine::with_options(
+                    &p,
+                    EvalOptions {
+                        workers,
+                        allow_unchecked: true,
+                        ..Default::default()
+                    },
+                )
+                .evaluate_with_sink(&Edb::new(), &mut spy);
+                assert!(
+                    matches!(r, Err(EvalError::CostConflict { .. })),
+                    "workers={workers}: {r:?}"
+                );
+                // The barrier still reports the failing round.
+                if workers > 1 {
+                    assert_eq!(spy.0[spy.0.len() - 2..], [("start", 1), ("barrier", 1)]);
+                }
             }
         }
     }

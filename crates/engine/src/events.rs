@@ -8,6 +8,14 @@
 //! uninstrumented run monomorphizes to exactly the code it had before this
 //! layer existed: zero cost when off.
 //!
+//! Every view of a run is one sink: the profile and the OpenMetrics
+//! recorder ([`crate::profile::MetricsSink`]), the timeline
+//! ([`crate::trace::SpanSink`]) and the derivation DAG
+//! ([`crate::provenance::ProvenanceSink`]), composed by [`Fanout`]. The
+//! per-binding events the DAG is built from (matches, aggregate elements
+//! and results, heads) are reported only to a sink that asks for them
+//! through [`EventSink::wants_provenance`].
+//!
 //! Events carry interned ids ([`Pred`], program rule indices) rather than
 //! rendered names; sinks that need text (the metrics sink in
 //! [`crate::profile`]) hold a `&Program` and resolve lazily.
@@ -19,9 +27,11 @@
 //! meter a sink hands out ([`EventSink::worker_meter`]).
 
 use crate::eval::Strategy;
-use crate::interp::{IndexStats, RelationMemory};
-use maglog_datalog::Pred;
+use crate::interp::{IndexStats, RelationMemory, Tuple};
+use crate::value::Value;
+use maglog_datalog::{AggFunc, Pred};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 use std::time::Instant;
 
 /// How an applied derivation changed the database.
@@ -46,6 +56,13 @@ pub enum InsertOutcome {
 /// `AggregateTotals`, `Pruned` (when non-zero), `ComponentEnd`. After all
 /// components, `IndexStats` (and, on request, `RelationMemory`) fires once
 /// per touched predicate.
+///
+/// A sink that [wants provenance](EventSink::wants_provenance) also sees,
+/// inside each `FireStart`/`FireEnd` pair, the firing's bindings in join
+/// order: `Match`/`Unmatch` pairs nest like the join's backtracking; each
+/// aggregate evaluation is an `AggBegin` … `AggEnd` frame that reports its
+/// `AggElement`s and then an `AggResult` per group the firing continues
+/// under; every buffered head derivation is a `Head`.
 #[derive(Clone, Copy, Debug)]
 pub enum Event<'a> {
     /// A component's fixpoint begins. `strategy` is the strategy actually
@@ -63,10 +80,14 @@ pub enum Event<'a> {
     /// The matching rule firing completed.
     FireEnd { rule: usize },
     /// One buffered derivation was applied to the database. `rule` is the
-    /// program rule index that first derived the tuple this round.
+    /// program rule index that first derived the tuple this round; `cost`
+    /// is the value the relation holds for `key` once it is applied (the
+    /// lattice join with the previous value).
     Insert {
         rule: usize,
         pred: Pred,
+        key: &'a Arc<Tuple>,
+        cost: &'a Option<Value>,
         outcome: InsertOutcome,
     },
     /// `pred` contributed `size` changed tuples to this round's delta.
@@ -130,10 +151,49 @@ pub enum Event<'a> {
     /// [`EventSink::wants_relation_memory`] returns true, since the
     /// deep-size walk behind it is O(database).
     RelationMemory { pred: Pred, memory: RelationMemory },
+    /// A positive subgoal or aggregate conjunct matched `pred(key) = cost`
+    /// (provenance only). Each is undone by one `Unmatch`.
+    Match {
+        pred: Pred,
+        key: &'a Tuple,
+        cost: &'a Option<Value>,
+    },
+    /// The join backtracked past the most recent `Match`.
+    Unmatch,
+    /// An aggregate subgoal starts enumerating its conjunction; the
+    /// `Match`es from here until `AggEnd` are its conjuncts' tuples.
+    AggBegin,
+    /// One multiset element was folded into the group `group`; the
+    /// conjunct tuples matched since `AggBegin` supplied it.
+    AggElement {
+        group: &'a [Value],
+        element: &'a Value,
+    },
+    /// The group `group` of the aggregate at body literal `lit` folded to
+    /// `result`, and the firing continues under it until the aggregate's
+    /// next `AggResult` or its `AggEnd`. `partial` marks a join-fold
+    /// relaxation: its one element is the delta tuple relaxed into the
+    /// head, not a rescan of the group.
+    AggResult {
+        lit: usize,
+        func: AggFunc,
+        group: &'a [Value],
+        result: &'a Value,
+        partial: bool,
+    },
+    /// The aggregate evaluation opened by the latest `AggBegin` finished.
+    AggEnd,
+    /// A head derivation was buffered under the current matches and
+    /// aggregate results; the apply phase may still find it a no-op.
+    Head {
+        pred: Pred,
+        key: &'a Arc<Tuple>,
+        cost: &'a Option<Value>,
+    },
 }
 
 /// Receiver for evaluator instrumentation events: one [`EventSink::on`]
-/// hook plus two opt-in queries the evaluator asks before doing work
+/// hook plus three opt-in queries the evaluator asks before doing work
 /// that only some sinks want.
 pub trait EventSink {
     /// Observe one event.
@@ -150,6 +210,15 @@ pub trait EventSink {
     /// the barrier free of clock reads and histogram bookkeeping.
     fn worker_meter(&self) -> Option<crate::metrics::Meter> {
         None
+    }
+    /// Opt-in gate for the per-binding events (`Match` through `Head`).
+    /// A sink that asks for them also gets one shard, no greedy settling
+    /// and each round's delta in sorted order: bindings nest in firing
+    /// order only on one shard, a greedy candidate settles after the round
+    /// that derived it, and a relaxed seed that several delta tuples reach
+    /// fires from the first. The model is the same either way.
+    fn wants_provenance(&self) -> bool {
+        false
     }
 }
 
@@ -180,6 +249,9 @@ impl<A: EventSink, B: EventSink> EventSink for Fanout<A, B> {
     fn worker_meter(&self) -> Option<crate::metrics::Meter> {
         self.0.worker_meter().or_else(|| self.1.worker_meter())
     }
+    fn wants_provenance(&self) -> bool {
+        self.0.wants_provenance() || self.1.wants_provenance()
+    }
 }
 
 /// `None` behaves exactly like [`NoopSink`]; `Some(sink)` forwards. This
@@ -198,6 +270,9 @@ impl<S: EventSink> EventSink for Option<S> {
     fn worker_meter(&self) -> Option<crate::metrics::Meter> {
         self.as_ref().and_then(EventSink::worker_meter)
     }
+    fn wants_provenance(&self) -> bool {
+        self.as_ref().is_some_and(EventSink::wants_provenance)
+    }
 }
 
 /// Forward through a mutable reference, so an owned sink can ride a
@@ -212,6 +287,9 @@ impl<S: EventSink + ?Sized> EventSink for &mut S {
     }
     fn worker_meter(&self) -> Option<crate::metrics::Meter> {
         (**self).worker_meter()
+    }
+    fn wants_provenance(&self) -> bool {
+        (**self).wants_provenance()
     }
 }
 
@@ -331,6 +409,7 @@ mod tests {
         use crate::edb::Edb;
         use crate::eval::{EvalOptions, MonotonicEngine};
         use crate::profile::MetricsSink;
+        use crate::provenance::ProvenanceSink;
         use crate::trace::{SpanSink, Tracer};
         use maglog_datalog::parse_program;
 
@@ -384,8 +463,13 @@ mod tests {
         assert!(Fanout(NoopSink, Fanout(None::<NoopSink>, &mut metrics))
             .worker_meter()
             .is_some());
+        let mut provenance = ProvenanceSink::new(&p);
+        assert!(Fanout(&mut spans, Some(&mut provenance)).wants_provenance());
+        assert!(Fanout(Fanout(NoopSink, &mut provenance), NoopSink).wants_provenance());
         let off = Fanout(Some(NoopSink), Fanout(None::<MetricsSink>, &mut NoopSink));
         assert!(!off.wants_relation_memory());
         assert!(off.worker_meter().is_none());
+        assert!(!off.wants_provenance());
+        assert!(!Fanout(&mut metrics, None::<ProvenanceSink>).wants_provenance());
     }
 }

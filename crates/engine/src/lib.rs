@@ -85,8 +85,7 @@ pub use trace::{
 };
 pub use provenance::{
     explain_tree, parse_goal, render_explain_dot, render_explain_human, render_explain_json,
-    render_why_not_human, render_why_not_json, AggWitness, BodyAtom, Capture, DerivationNode,
-    ExplainAgg, ExplainKind, ExplainNode, Goal, NoCapture, Provenance, ProvenanceTracker,
-    RuleProbe, WhyNotReport,
+    render_why_not_human, render_why_not_json, AggWitness, BodyAtom, DerivationNode, ExplainAgg,
+    ExplainKind, ExplainNode, Goal, Provenance, ProvenanceSink, RuleProbe, WhyNotReport,
 };
 pub use value::{CostValue, RuntimeDomain, Value};

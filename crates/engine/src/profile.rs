@@ -1044,6 +1044,8 @@ impl EventSink for MetricsSink<'_> {
                 pred: self.program.pred_name(pred),
                 memory,
             }),
+            // The per-binding provenance events carry nothing it counts.
+            _ => {}
         }
     }
 

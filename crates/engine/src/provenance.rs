@@ -1,24 +1,27 @@
 //! Derivation provenance: who derived what, from which body tuples, and
 //! which aggregate elements won the fold.
 //!
-//! The evaluator is generic over a [`Capture`] hook (a second, orthogonal
-//! axis to [`crate::events::EventSink`]): every step of the join executor
-//! reports the body tuple it just matched, every aggregate reports its
-//! group's witness element(s) (via the winner tracking of
-//! [`crate::aggregate::Accumulator`], which observes the fold without
-//! changing its IEEE-754 order), and every head emission snapshots that
-//! trail into a pending derivation. When the apply loop accepts the
-//! derivation (a new tuple, or a strict lattice improvement), the pending
-//! snapshot is committed as a [`DerivationNode`]. Improvements chain: a
-//! key's nodes form its full cost-refinement history down the lattice, and
-//! the last node per key is its derivation in the final model, so the
-//! committed set is a derivation DAG rooted at the EDB.
+//! [`ProvenanceSink`] is one more [`EventSink`], composed with the others
+//! through [`crate::events::Fanout`]. It asks for the per-binding events
+//! ([`EventSink::wants_provenance`]), and from them keeps its own trail
+//! of the body tuples the current firing matched, the elements each
+//! aggregate group folded with the tuples that supplied them, the stack
+//! of aggregate results the firing continues under, and the round's
+//! pending heads. When the apply phase accepts a head (a new tuple, or a
+//! strict lattice improvement), its pending snapshot is committed as a
+//! [`DerivationNode`]. Improvements chain: a key's nodes form its full
+//! cost-refinement history down the lattice, and the last node per key is
+//! its derivation in the final model, so the committed set is a
+//! derivation DAG rooted at the EDB.
 //!
-//! [`NoCapture`] has `ENABLED = false` and empty inlineable methods, so
-//! the uninstrumented evaluator monomorphizes to exactly the code it had
-//! before this layer existed — capture is only paid under
-//! [`crate::eval::MonotonicEngine::evaluate_with_provenance`].
+//! Every choice among equal candidates — two derivations of one key at
+//! the same cost, two elements that each decide a `min`, the sample of a
+//! joint fold's elements — follows a canonical order of rule index, body
+//! atoms and witness atoms, never the evaluator's hash-map iteration
+//! order, so one program always explains the same way.
 
+use crate::aggregate;
+use crate::events::{Event, EventSink, InsertOutcome};
 use crate::interp::{Interp, Tuple};
 use crate::jsonish::json_str;
 use crate::value::{RuntimeDomain, Value};
@@ -31,8 +34,9 @@ use std::sync::Arc;
 pub const MAX_JOINT_WITNESSES: usize = 8;
 
 /// One body tuple a derivation joined (a positive subgoal match or an
-/// aggregate witness's supporting atom).
-#[derive(Clone, Debug, PartialEq)]
+/// aggregate witness's supporting atom). Ordered by predicate, key, cost:
+/// the canonical order of tie-breaks.
+#[derive(Clone, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub struct BodyAtom {
     pub pred: Pred,
     pub key: Arc<Tuple>,
@@ -50,9 +54,9 @@ pub struct AggWitness {
     /// Multiset elements folded into the group.
     pub elements: usize,
     /// The element(s) that produced the result, each with the conjunct
-    /// tuples that supplied it. A decisive fold (`min`/`max`/`or`/`and`)
-    /// records exactly the winner; joint folds record up to
-    /// [`MAX_JOINT_WITNESSES`] elements.
+    /// tuples that supplied it, in canonical order. A decisive fold
+    /// (`min`/`max`/`or`/`and`) records exactly its decisive element;
+    /// joint folds record the [`MAX_JOINT_WITNESSES`] least elements.
     pub witnesses: Vec<(Value, Vec<BodyAtom>)>,
     /// How many elements are actually responsible (≥ `witnesses.len()`).
     pub witnesses_total: usize,
@@ -159,84 +163,54 @@ impl Provenance {
     }
 }
 
-/// Evaluator-side capture hook. All methods default to no-ops; the
-/// `ENABLED` constant gates every call site, so a disabled capture
-/// compiles away entirely.
-#[allow(unused_variables)]
-pub trait Capture {
-    const ENABLED: bool;
+/// One buffered aggregate element with the conjunct tuples that supplied it.
+type Element = (Value, Vec<BodyAtom>);
 
-    /// A `T_P` round begins (1-based) in `component`.
-    fn begin_round(&mut self, component: usize, round: usize) {}
-    /// The rule about to fire (program rule index).
-    fn begin_rule(&mut self, rule: usize) {}
-    /// A positive subgoal matched `pred(key) = cost`; pushed on the trail.
-    fn push_atom(&mut self, pred: Pred, key: &Tuple, cost: &Option<Value>) {}
-    /// Backtrack the most recent trail entry.
-    fn pop_atom(&mut self) {}
-    /// Current trail length (for later [`Capture::trail_since`]).
-    fn trail_mark(&self) -> usize {
-        0
-    }
-    /// The trail entries pushed since `mark` (aggregate-conjunct support).
-    fn trail_since(&self, mark: usize) -> Vec<BodyAtom> {
-        Vec::new()
-    }
-    /// An aggregate subgoal produced a result; its witness record scopes
-    /// every head emitted until the matching [`Capture::pop_agg`].
-    fn push_agg(&mut self, witness: AggWitness) {}
-    fn pop_agg(&mut self) {}
-    /// A head derivation was emitted under the current trail + aggregate
-    /// stack (it may still be rejected by the apply loop as a no-op).
-    fn head(&mut self, pred: Pred, key: &Arc<Tuple>, cost: &Option<Value>) {}
-    /// The apply loop accepted a derivation for `pred(key)`; `cost` is the
-    /// value now stored (post-join), `improved` whether it refined an
-    /// existing tuple.
-    fn commit(&mut self, pred: Pred, key: &Arc<Tuple>, cost: &Option<Value>, improved: bool) {}
-    /// The round's apply loop finished; pending heads are stale.
-    fn end_round(&mut self) {}
+/// One aggregate evaluation in progress.
+#[derive(Debug, Default)]
+struct Frame {
+    /// The trail length at its `AggBegin`.
+    mark: usize,
+    /// Each group's elements, in push order.
+    groups: HashMap<Vec<Value>, Vec<Element>>,
+    /// The group result the firing currently continues under.
+    result: Option<AggWitness>,
 }
 
-/// The default capture: off, free.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct NoCapture;
-
-impl Capture for NoCapture {
-    const ENABLED: bool = false;
+/// The canonical order of candidate derivations of one key: rule index,
+/// then body atoms, then the aggregate witnesses' atoms.
+fn rank(node: &DerivationNode) -> (usize, &[BodyAtom], Vec<&[BodyAtom]>) {
+    let witnesses = node.aggs.iter().flat_map(|a| &a.witnesses);
+    (node.rule, &node.body, witnesses.map(|(_, atoms)| &atoms[..]).collect())
 }
 
-/// What a head emission looked like before the apply loop ruled on it.
+/// The provenance recorder: builds a [`Provenance`] DAG from the events of
+/// one evaluation. Read it with [`ProvenanceSink::finish`] once the
+/// evaluation returns.
 #[derive(Debug)]
-struct Pending {
-    rule: usize,
-    cost: Option<Value>,
-    body: Vec<BodyAtom>,
-    aggs: Vec<AggWitness>,
-}
-
-/// The live capture: records trails, snapshots pending heads, commits
-/// accepted derivations into a [`Provenance`] DAG.
-#[derive(Debug)]
-pub struct ProvenanceTracker<'p> {
+pub struct ProvenanceSink<'p> {
     program: &'p Program,
     component: usize,
     round: usize,
     rule: usize,
+    /// The body tuples the current firing has matched, in join order.
     trail: Vec<BodyAtom>,
-    agg_stack: Vec<AggWitness>,
-    pending: HashMap<(Pred, Arc<Tuple>), Pending>,
+    /// The aggregates being evaluated, outermost first.
+    frames: Vec<Frame>,
+    /// Each key's best head emission this round, awaiting the apply phase.
+    pending: HashMap<(Pred, Arc<Tuple>), DerivationNode>,
     graph: Provenance,
 }
 
-impl<'p> ProvenanceTracker<'p> {
+impl<'p> ProvenanceSink<'p> {
     pub fn new(program: &'p Program) -> Self {
-        ProvenanceTracker {
+        ProvenanceSink {
             program,
             component: 0,
             round: 0,
             rule: 0,
             trail: Vec::new(),
-            agg_stack: Vec::new(),
+            frames: Vec::new(),
             pending: HashMap::new(),
             graph: Provenance::default(),
         }
@@ -245,120 +219,159 @@ impl<'p> ProvenanceTracker<'p> {
     pub fn finish(self) -> Provenance {
         self.graph
     }
-}
 
-impl Capture for ProvenanceTracker<'_> {
-    const ENABLED: bool = true;
-
-    fn begin_round(&mut self, component: usize, round: usize) {
-        self.component = component;
-        self.round = round;
-    }
-
-    fn begin_rule(&mut self, rule: usize) {
-        self.rule = rule;
-    }
-
-    fn push_atom(&mut self, pred: Pred, key: &Tuple, cost: &Option<Value>) {
-        self.trail.push(BodyAtom {
-            pred,
-            key: Arc::new(key.clone()),
-            cost: cost.clone(),
-        });
-    }
-
-    fn pop_atom(&mut self) {
-        self.trail.pop();
-    }
-
-    fn trail_mark(&self) -> usize {
-        self.trail.len()
-    }
-
-    fn trail_since(&self, mark: usize) -> Vec<BodyAtom> {
-        self.trail[mark..].to_vec()
-    }
-
-    fn push_agg(&mut self, witness: AggWitness) {
-        self.agg_stack.push(witness);
-    }
-
-    fn pop_agg(&mut self) {
-        self.agg_stack.pop();
-    }
-
+    /// Record a head emission as its key's pending derivation, unless the
+    /// round already holds a better one: a candidate whose cost the lattice
+    /// join adopts over this one's, or, at an equal or incomparable cost,
+    /// one that comes first in the canonical [`rank`] order.
     fn head(&mut self, pred: Pred, key: &Arc<Tuple>, cost: &Option<Value>) {
-        use std::collections::hash_map::Entry;
-        let make = || Pending {
+        let node = DerivationNode {
             rule: self.rule,
-            cost: cost.clone(),
-            body: self.trail.clone(),
-            aggs: self.agg_stack.clone(),
-        };
-        match self.pending.entry((pred, key.clone())) {
-            Entry::Vacant(slot) => {
-                slot.insert(make());
-            }
-            Entry::Occupied(mut slot) => {
-                // Several derivations of one key in a round: keep the one
-                // whose cost the lattice join will actually adopt (strict
-                // improvement replaces; ties keep the first, matching the
-                // round buffer's first-deriver attribution).
-                let better = match (
-                    self.program.cost_spec(pred),
-                    &slot.get().cost,
-                    cost,
-                ) {
-                    (Some(spec), Some(old), Some(new)) => {
-                        let d = RuntimeDomain::new(spec.domain);
-                        let joined = d.join(old, new);
-                        joined == *new && joined != *old
-                    }
-                    _ => false,
-                };
-                if better {
-                    slot.insert(make());
-                }
-            }
-        }
-    }
-
-    fn commit(&mut self, pred: Pred, key: &Arc<Tuple>, cost: &Option<Value>, improved: bool) {
-        let Some(p) = self.pending.get(&(pred, key.clone())) else {
-            return;
-        };
-        self.graph.commit(DerivationNode {
-            rule: p.rule,
             pred,
             key: key.clone(),
             cost: cost.clone(),
             component: self.component,
             round: self.round,
-            improved,
-            body: p.body.clone(),
-            aggs: p.aggs.clone(),
-        });
-    }
-
-    fn end_round(&mut self) {
-        self.pending.clear();
+            improved: false,
+            body: self.trail.clone(),
+            aggs: self.frames.iter().filter_map(|f| f.result.clone()).collect(),
+        };
+        if let Some(old) = self.pending.get(&(pred, key.clone())) {
+            let (old_wins, new_wins) = match (self.program.cost_spec(pred), &old.cost, cost) {
+                (Some(spec), Some(a), Some(b)) => {
+                    let joined = RuntimeDomain::new(spec.domain).join(a, b);
+                    (joined == *a && joined != *b, joined == *b && joined != *a)
+                }
+                _ => (false, false),
+            };
+            if old_wins || !(new_wins || rank(&node) < rank(old)) {
+                return;
+            }
+        }
+        self.pending.insert((pred, key.clone()), node);
     }
 }
 
-/// Select an aggregate group's witness list from the enumeration buffer:
-/// a decisive winner alone, or up to [`MAX_JOINT_WITNESSES`] of a joint
-/// fold. Returns `(selected, total_responsible)`.
-pub(crate) fn select_witnesses(
-    winner: Option<usize>,
-    mut buffered: Vec<(Value, Vec<BodyAtom>)>,
-) -> (Vec<(Value, Vec<BodyAtom>)>, usize) {
-    match winner {
-        Some(i) if i < buffered.len() => (vec![buffered.swap_remove(i)], 1),
-        _ => {
-            let total = buffered.len();
-            buffered.truncate(MAX_JOINT_WITNESSES);
-            (buffered, total)
+impl EventSink for ProvenanceSink<'_> {
+    fn on(&mut self, event: &Event<'_>) {
+        match *event {
+            Event::ComponentStart { component, .. } => self.component = component,
+            Event::RoundStart { round, .. } => self.round = round,
+            Event::FireStart { rule } => self.rule = rule,
+            Event::Match { pred, key, cost } => self.trail.push(BodyAtom {
+                pred,
+                key: Arc::new(key.clone()),
+                cost: cost.clone(),
+            }),
+            Event::Unmatch => {
+                self.trail.pop();
+            }
+            Event::AggBegin => self.frames.push(Frame {
+                mark: self.trail.len(),
+                ..Frame::default()
+            }),
+            Event::AggElement { group, element } => {
+                let frame = self.frames.last_mut().expect("element outside an aggregate");
+                let support = self.trail[frame.mark..].to_vec();
+                let elements = frame.groups.entry(group.to_vec()).or_default();
+                elements.push((element.clone(), support));
+            }
+            Event::AggResult {
+                lit,
+                func,
+                group,
+                result,
+                partial,
+            } => {
+                let frame = self.frames.last_mut().expect("result outside an aggregate");
+                let buffered = frame.groups.remove(group).unwrap_or_default();
+                let elements = buffered.len();
+                let (witnesses, witnesses_total) = select_witnesses(func, result, buffered);
+                frame.result = Some(AggWitness {
+                    lit,
+                    func,
+                    result: result.clone(),
+                    elements,
+                    witnesses,
+                    witnesses_total,
+                    partial,
+                });
+            }
+            Event::AggEnd => {
+                self.frames.pop();
+            }
+            Event::Head { pred, key, cost } => self.head(pred, key, cost),
+            Event::Insert {
+                pred,
+                key,
+                cost,
+                outcome,
+                ..
+            } if outcome != InsertOutcome::Noop => {
+                // A key is applied at most once per round, so its pending
+                // derivation moves into the DAG.
+                if let Some(mut node) = self.pending.remove(&(pred, key.clone())) {
+                    node.cost = cost.clone();
+                    node.improved = outcome == InsertOutcome::Improved;
+                    self.graph.commit(node);
+                }
+            }
+            // Pending heads the round did not accept are stale.
+            Event::RoundEnd { .. } => self.pending.clear(),
+            _ => {}
         }
+    }
+
+    fn wants_provenance(&self) -> bool {
+        true
+    }
+}
+
+/// Select an aggregate group's witnesses from its buffered elements, put
+/// in canonical order (supporting atoms, then the element itself): a
+/// decisive fold's [`decisive`] element alone, or the
+/// [`MAX_JOINT_WITNESSES`] least elements of a joint fold. Returns
+/// `(selected, total_responsible)`.
+fn select_witnesses(
+    func: AggFunc,
+    result: &Value,
+    mut elements: Vec<Element>,
+) -> (Vec<Element>, usize) {
+    elements.sort_by(|(a, atoms_a), (b, atoms_b)| atoms_a.cmp(atoms_b).then_with(|| a.cmp(b)));
+    match decisive(func, result, elements.iter().map(|(v, _)| v)) {
+        Some(i) => (vec![elements.swap_remove(i)], 1),
+        None => {
+            let total = elements.len();
+            elements.truncate(MAX_JOINT_WITNESSES);
+            (elements, total)
+        }
+    }
+}
+
+/// The decisive element of a `min`, `max`, `or` or `and` fold of `values`
+/// to `result`: the first at which the fold strictly moved to its final
+/// value, compared through the fold's own numeric or boolean view. For
+/// these folds the result equals one of the elements, and every element
+/// before it was strictly worse. `None` for the joint folds, and when the
+/// result is still the fold's identity.
+fn decisive<'v>(
+    func: AggFunc,
+    result: &Value,
+    mut values: impl Iterator<Item = &'v Value>,
+) -> Option<usize> {
+    if aggregate::apply(func, &[]).as_ref() == Some(result) {
+        return None;
+    }
+    match func {
+        AggFunc::Min | AggFunc::Max => {
+            let want = result.as_num()?;
+            values.position(|v| v.as_num() == Some(want))
+        }
+        AggFunc::Or | AggFunc::And => {
+            let want = result.as_bool()?;
+            values.position(|v| v.as_bool() == Some(want))
+        }
+        _ => None,
     }
 }
 
@@ -991,16 +1004,46 @@ mod tests {
     }
 
     #[test]
-    fn witness_selection_caps_joint_folds() {
-        let buffered: Vec<(Value, Vec<BodyAtom>)> = (0..20)
-            .map(|i| (Value::num(i as f64), Vec::new()))
+    fn witness_selection_caps_joint_folds_in_canonical_order() {
+        let p = parse_program("e(a).").unwrap();
+        let e = p.find_pred("e").unwrap();
+        let atom = |i: usize| BodyAtom {
+            pred: e,
+            key: Arc::new(Tuple::new(vec![Value::num(i as f64)])),
+            cost: None,
+        };
+        // Buffered in reverse: selection sorts by supporting atoms.
+        let buffered: Vec<Element> = (0..20)
+            .rev()
+            .map(|i| (Value::num(i as f64), vec![atom(i)]))
             .collect();
-        let (sel, total) = select_witnesses(Some(3), buffered.clone());
-        assert_eq!(total, 1);
-        assert_eq!(sel.len(), 1);
-        assert_eq!(sel[0].0, Value::num(3.0));
-        let (sel, total) = select_witnesses(None, buffered);
+        let (sel, total) = select_witnesses(AggFunc::Min, &Value::num(0.0), buffered.clone());
+        assert_eq!((sel.len(), total), (1, 1));
+        assert_eq!(sel[0], (Value::num(0.0), vec![atom(0)]));
+        let (sel, total) = select_witnesses(AggFunc::Count, &Value::num(20.0), buffered);
         assert_eq!(total, 20);
-        assert_eq!(sel.len(), MAX_JOINT_WITNESSES);
+        let firsts: Vec<Value> = sel.into_iter().map(|(v, _)| v).collect();
+        let least: Vec<Value> = (0..MAX_JOINT_WITNESSES).map(|i| Value::num(i as f64)).collect();
+        assert_eq!(firsts, least);
+    }
+
+    #[test]
+    fn decisive_element_is_the_first_to_reach_the_result() {
+        let decided = |func, values: &[Value]| {
+            let result = aggregate::apply(func, values).unwrap();
+            decisive(func, &result, values.iter())
+        };
+        let nums = |vs: &[f64]| vs.iter().map(|&v| Value::num(v)).collect::<Vec<_>>();
+        let (t, f) = (Value::Bool(true), Value::Bool(false));
+        // min: the first strict improvement to the result; later ties do
+        // not steal it.
+        assert_eq!(decided(AggFunc::Min, &nums(&[3.0, 1.0, 2.0, 1.0])), Some(1));
+        assert_eq!(decided(AggFunc::Max, &nums(&[3.0, 5.0, 5.0])), Some(1));
+        // or: the first true; an all-false fold is still its identity.
+        assert_eq!(decided(AggFunc::Or, &[f.clone(), t.clone(), t.clone()]), Some(1));
+        assert_eq!(decided(AggFunc::Or, std::slice::from_ref(&f)), None);
+        assert_eq!(decided(AggFunc::And, &[t, f]), Some(1));
+        // Joint folds never name one element.
+        assert_eq!(decided(AggFunc::Sum, &nums(&[1.0, 2.0])), None);
     }
 }

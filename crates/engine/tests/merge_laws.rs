@@ -6,8 +6,8 @@
 //! Laws, per aggregate function:
 //!
 //! - **merge = fold order**: `a.merge(b)` equals pushing `b`'s elements
-//!   after `a`'s, for every split point of every sample vector. Exact
-//!   (value *and* provenance winner) for the lattice folds
+//!   after `a`'s, for every split point of every sample vector. Exact for
+//!   the lattice folds
 //!   (`min`/`max`/`and`/`or`/`union`/`intersect`) and `count`; exact on
 //!   integral data and within relative epsilon on fractional data for the
 //!   additive folds (`sum`/`halfsum`/`avg`/`product`), whose merge
@@ -164,27 +164,13 @@ fn assert_close(got: &Option<Value>, want: &Option<Value>, scale: f64, ctx: &str
 fn merge_equals_sequential_fold_at_every_split() {
     for func in ALL_FUNCS {
         for sample in samples(func) {
-            let sequential = acc_of(func, &sample);
-            let want = sequential.clone().finish();
+            let want = acc_of(func, &sample).finish();
             for split in 0..=sample.len() {
                 let (lo, hi) = sample.split_at(split);
                 let m = merged(acc_of(func, lo), acc_of(func, hi));
                 assert_eq!(m.count(), sample.len(), "{func:?} count at {split}");
-                // Integral sample data: every function is exact here, and
-                // the lattice folds must reproduce the sequential winner
-                // so provenance witnesses survive sharding.
-                assert_eq!(
-                    m.clone().finish(),
-                    want,
-                    "{func:?} merge != fold at split {split}"
-                );
-                if LATTICE_FUNCS.contains(&func) {
-                    assert_eq!(
-                        m.winner(),
-                        sequential.winner(),
-                        "{func:?} winner drifted at split {split}"
-                    );
-                }
+                // Integral sample data: every function is exact here.
+                assert_eq!(m.finish(), want, "{func:?} merge != fold at split {split}");
             }
         }
     }
@@ -226,7 +212,6 @@ fn merge_is_associative() {
                         merged(acc_of(func, b), acc_of(func, c)),
                     );
                     assert_eq!(left.count(), right.count(), "{func:?} count assoc");
-                    assert_eq!(left.winner(), right.winner(), "{func:?} winner assoc");
                     // Integral pools: exact for every function.
                     assert_eq!(left.finish(), right.finish(), "{func:?} not associative");
                 }
@@ -262,8 +247,7 @@ fn merge_is_associative() {
 #[test]
 fn merge_is_commutative_in_the_finished_value() {
     // IEEE addition and multiplication commute bit for bit, so this holds
-    // exactly for every function — only winner attribution (which side's
-    // element is named) legitimately depends on operand order.
+    // exactly for every function.
     for func in ALL_FUNCS {
         let pool = samples(func);
         for a in &pool {
@@ -292,7 +276,6 @@ fn lattice_folds_are_idempotent_and_counting_folds_are_not() {
                 a.clone().finish(),
                 "{func:?} not idempotent on {sample:?}"
             );
-            assert_eq!(doubled.winner(), a.winner(), "{func:?} idempotent winner");
         }
     }
     // The counting folds must NOT be idempotent — merging a shard with
@@ -322,8 +305,6 @@ fn fresh_accumulator_is_a_two_sided_identity() {
             let right = merged(a.clone(), Accumulator::new(func));
             assert_eq!(left.count(), sample.len(), "{func:?} left identity count");
             assert_eq!(right.count(), sample.len(), "{func:?} right identity count");
-            assert_eq!(left.winner(), a.winner(), "{func:?} left identity winner");
-            assert_eq!(right.winner(), a.winner(), "{func:?} right identity winner");
             assert_eq!(
                 left.finish(),
                 a.clone().finish(),
@@ -362,27 +343,14 @@ fn undefined_states_absorb_through_merge() {
 }
 
 #[test]
-fn winner_indices_shift_by_the_left_operand_count() {
-    // min: global argmin lives in the right shard → index offsets by the
-    // left shard's element count.
+fn uneven_splits_merge_to_the_fold_value() {
+    // min: the global minimum lives in the right shard.
     let left = acc_of(AggFunc::Min, &nums(&[5.0, 4.0]));
     let right = acc_of(AggFunc::Min, &nums(&[9.0, 1.0]));
-    assert_eq!(right.winner(), Some(1));
-    let m = merged(left, right);
-    assert_eq!(m.winner(), Some(3), "offset by the two left elements");
-    assert_eq!(m.finish(), Some(Value::num(1.0)));
+    assert_eq!(merged(left, right).finish(), Some(Value::num(1.0)));
 
-    // Ties keep the earliest (left) witness, matching the sequential
-    // fold's strict-improvement rule.
-    let left = acc_of(AggFunc::Min, &nums(&[3.0, 1.0]));
-    let right = acc_of(AggFunc::Min, &nums(&[1.0]));
-    let m = merged(left, right);
-    assert_eq!(m.winner(), Some(1));
-
-    // or: first decisive true of the concatenation.
+    // or: the one true element is the right shard's last.
     let left = acc_of(AggFunc::Or, &bools(&[false, false]));
     let right = acc_of(AggFunc::Or, &bools(&[false, true]));
-    let m = merged(left, right);
-    assert_eq!(m.winner(), Some(3));
-    assert_eq!(m.finish(), Some(Value::Bool(true)));
+    assert_eq!(merged(left, right).finish(), Some(Value::Bool(true)));
 }

@@ -4,9 +4,10 @@
 use maglog_datalog::{parse_program, AggFunc, Program};
 use maglog_engine::{
     explain_tree, parse_goal, render_explain_dot, render_explain_human, render_explain_json,
-    render_why_not_human, why_not, Edb, EvalOptions, ExplainKind, MonotonicEngine, NoopSink,
-    Strategy, Tuple, Value,
+    render_why_not_human, why_not, Edb, EvalOptions, ExplainKind, Model, MonotonicEngine,
+    Provenance, ProvenanceSink, Strategy, Tuple, Value,
 };
+use std::collections::BTreeSet;
 
 const SHORTEST_PATH: &str = r#"
     declare pred arc/3 cost min_real.
@@ -29,6 +30,13 @@ const WIDEST_PATH: &str = r#"
     constraint :- link(direct, Z, C).
 "#;
 
+/// Evaluate through a provenance sink: the model and its derivation DAG.
+fn explained(engine: &MonotonicEngine<'_>, p: &Program) -> (Model, Provenance) {
+    let mut sink = ProvenanceSink::new(p);
+    let model = engine.evaluate_with_sink(&Edb::new(), &mut sink).unwrap();
+    (model, sink.finish())
+}
+
 fn key(p: &Program, args: &[&str]) -> Tuple {
     Tuple::new(
         args.iter()
@@ -44,9 +52,7 @@ fn key(p: &Program, args: &[&str]) -> Tuple {
 fn shortest_path_derivation_records_rule_body_and_witness() {
     let src = format!("{SHORTEST_PATH}\narc(a, b, 1).\narc(b, c, 2).\narc(a, c, 5).\n");
     let p = parse_program(&src).unwrap();
-    let (model, prov) = MonotonicEngine::new(&p)
-        .evaluate_with_provenance(&Edb::new(), &mut NoopSink)
-        .unwrap();
+    let (model, prov) = explained(&MonotonicEngine::new(&p), &p);
     assert!(!prov.is_empty());
 
     let s = p.find_pred("s").unwrap();
@@ -71,9 +77,7 @@ fn improvement_chains_record_the_refinement_history() {
     // s(a,b) is first derived at 5 (direct arc), then refined to 2 via c.
     let src = format!("{SHORTEST_PATH}\narc(a, b, 5).\narc(a, c, 1).\narc(c, b, 1).\n");
     let p = parse_program(&src).unwrap();
-    let (_, prov) = MonotonicEngine::new(&p)
-        .evaluate_with_provenance(&Edb::new(), &mut NoopSink)
-        .unwrap();
+    let (_, prov) = explained(&MonotonicEngine::new(&p), &p);
     let s = p.find_pred("s").unwrap();
     let history = prov.history(s, &key(&p, &["a", "b"]));
     assert!(history.len() >= 2, "expected a refinement chain, got {}", history.len());
@@ -91,9 +95,7 @@ fn improvement_chains_record_the_refinement_history() {
 #[test]
 fn widest_path_max_witness_is_tracked() {
     let p = parse_program(WIDEST_PATH).unwrap();
-    let (model, prov) = MonotonicEngine::new(&p)
-        .evaluate_with_provenance(&Edb::new(), &mut NoopSink)
-        .unwrap();
+    let (model, prov) = explained(&MonotonicEngine::new(&p), &p);
     assert_eq!(model.cost_of(&p, "w", &["a", "c"]).unwrap().as_f64(), Some(3.0));
     let w = p.find_pred("w").unwrap();
     let node = prov.node(w, &key(&p, &["a", "c"])).expect("w(a,c) derived");
@@ -115,9 +117,7 @@ fn count_aggregates_record_joint_witnesses() {
         "#,
     )
     .unwrap();
-    let (model, prov) = MonotonicEngine::new(&p)
-        .evaluate_with_provenance(&Edb::new(), &mut NoopSink)
-        .unwrap();
+    let (model, prov) = explained(&MonotonicEngine::new(&p), &p);
     assert!(model.holds(&p, "coming", &["bob"]));
     let coming = p.find_pred("coming").unwrap();
     let ann = prov.node(coming, &key(&p, &["ann"])).expect("coming(ann)");
@@ -148,9 +148,7 @@ fn provenance_mode_computes_the_same_model_under_every_strategy() {
                 },
             );
             let plain = engine.evaluate(&Edb::new()).unwrap();
-            let (traced, prov) = engine
-                .evaluate_with_provenance(&Edb::new(), &mut NoopSink)
-                .unwrap();
+            let (traced, prov) = explained(&engine, &p);
             assert_eq!(
                 plain.interp(),
                 traced.interp(),
@@ -196,9 +194,7 @@ fn why_not_on_a_present_key_reports_the_held_cost() {
 fn explain_tree_renders_human_json_and_dot() {
     let src = format!("{SHORTEST_PATH}\narc(a, b, 1).\narc(b, c, 2).\narc(a, c, 5).\n");
     let p = parse_program(&src).unwrap();
-    let (model, prov) = MonotonicEngine::new(&p)
-        .evaluate_with_provenance(&Edb::new(), &mut NoopSink)
-        .unwrap();
+    let (model, prov) = explained(&MonotonicEngine::new(&p), &p);
     let s = p.find_pred("s").unwrap();
     let node = explain_tree(&p, &prov, model.interp(), s, &key(&p, &["a", "c"]), 8);
 
@@ -227,9 +223,7 @@ fn explain_tree_is_depth_bounded_and_cycle_safe() {
     // must cut at the depth limit and mark re-expanded ancestors.
     let src = format!("{SHORTEST_PATH}\narc(a, b, 1).\narc(b, b, 0).\n");
     let p = parse_program(&src).unwrap();
-    let (model, prov) = MonotonicEngine::new(&p)
-        .evaluate_with_provenance(&Edb::new(), &mut NoopSink)
-        .unwrap();
+    let (model, prov) = explained(&MonotonicEngine::new(&p), &p);
     let s = p.find_pred("s").unwrap();
     let shallow = explain_tree(&p, &prov, model.interp(), s, &key(&p, &["a", "b"]), 1);
     assert!(matches!(shallow.kind, ExplainKind::Derived { .. }));
@@ -246,12 +240,58 @@ fn explain_tree_is_depth_bounded_and_cycle_safe() {
 fn explaining_a_missing_fact_says_so() {
     let src = format!("{SHORTEST_PATH}\narc(a, b, 1).\n");
     let p = parse_program(&src).unwrap();
-    let (model, prov) = MonotonicEngine::new(&p)
-        .evaluate_with_provenance(&Edb::new(), &mut NoopSink)
-        .unwrap();
+    let (model, prov) = explained(&MonotonicEngine::new(&p), &p);
     let s = p.find_pred("s").unwrap();
     let node = explain_tree(&p, &prov, model.interp(), s, &key(&p, &["b", "a"]), 8);
     assert!(matches!(node.kind, ExplainKind::Missing));
     let json = render_explain_json("test.mgl", "s(b, a)", &node, 8);
     assert!(json.contains("\"found\": false"));
+}
+
+/// Explain `goal` after each of twenty fresh evaluations of `src` (every
+/// hash map iterates in a new order each time) and require one rendering.
+fn explains_alike_every_time(src: &str, goal: &str) -> String {
+    let p = parse_program(src).unwrap();
+    let goal = parse_goal(&p, goal).unwrap();
+    let renderings: BTreeSet<String> = (0..20)
+        .map(|_| {
+            let (model, prov) = explained(&MonotonicEngine::new(&p), &p);
+            let tree = explain_tree(&p, &prov, model.interp(), goal.pred, &goal.key, 8);
+            render_explain_human(&tree)
+        })
+        .collect();
+    assert_eq!(renderings.len(), 1, "{renderings:#?}");
+    renderings.into_iter().next().unwrap()
+}
+
+#[test]
+fn tied_derivations_explain_alike_every_time() {
+    // Three equal-cost routes a → {b, c, e} → d: path(a, b, d),
+    // path(a, c, d) and path(a, e, d) each decide s(a, d) = 2. The
+    // canonical order credits the least, through b.
+    let diamond = format!(
+        "{SHORTEST_PATH}\narc(a, b, 1). arc(a, c, 1). arc(a, e, 1).\n\
+         arc(b, d, 1). arc(c, d, 1). arc(e, d, 1). arc(d, f, 1).\n"
+    );
+    let tree = explains_alike_every_time(&diamond, "s(a, f)");
+    assert!(tree.contains("path(a, b, d) = 2"), "{tree}");
+    assert!(!tree.contains("path(a, c, d)") && !tree.contains("path(a, e, d)"), "{tree}");
+}
+
+#[test]
+fn joint_witnesses_are_the_least_elements_every_time() {
+    // Twelve f tuples, inserted in hash-map order, are counted: the
+    // rendering shows the eight least.
+    let facts: Vec<String> = (1..=12).map(|i| format!("e(a, b{i}).")).collect();
+    let fan = format!(
+        "declare pred deg/2 cost nat.\n{}\n\
+         f(X, Y) :- e(X, Y).\n\
+         deg(X, N) :- N =r count : f(X, Y).\n",
+        facts.join(" ")
+    );
+    let tree = explains_alike_every_time(&fan, "deg(a)");
+    assert!(tree.contains("(8 of 12 witnesses shown)"), "{tree}");
+    for i in 1..=12 {
+        assert_eq!(tree.contains(&format!("f(a, b{i})")), i <= 8, "b{i}: {tree}");
+    }
 }

@@ -5,12 +5,13 @@
 //! ```
 //!
 //! Evaluates the widest-path program (max aggregate, min(.,.) combiner)
-//! with capture on, walks the provenance chain of one fact by hand, then
+//! through a provenance sink, walks the provenance chain of one fact by hand, then
 //! renders the explain tree and a why-not report — the same machinery
 //! behind `maglog explain`.
 
 use maglog::engine::{
-    explain_tree, parse_goal, render_explain_human, render_why_not_human, why_not, NoopSink,
+    explain_tree, parse_goal, render_explain_human, render_why_not_human, why_not,
+    ProvenanceSink,
 };
 use maglog::prelude::*;
 
@@ -28,11 +29,13 @@ const WIDEST_PATH: &str = r#"
 fn main() {
     let program = parse_program(WIDEST_PATH).expect("widest-path program parses");
 
-    // Evaluate with derivation capture on: same model, plus a provenance
+    // Evaluate through a provenance sink: same model, plus a provenance
     // DAG of every accepted insert and improvement.
-    let (model, prov) = MonotonicEngine::new(&program)
-        .evaluate_with_provenance(&Edb::new(), &mut NoopSink)
+    let mut sink = ProvenanceSink::new(&program);
+    let model = MonotonicEngine::new(&program)
+        .evaluate_with_sink(&Edb::new(), &mut sink)
         .expect("widest-path program evaluates");
+    let prov = sink.finish();
     println!("minimal model:\n{}", model.render(&program));
     println!("{} derivations committed\n", prov.len());
 

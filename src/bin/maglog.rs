@@ -98,7 +98,7 @@ use maglog::engine::{
     parse_goal, parse_openmetrics, render_collapsed_stacks, render_explain_dot,
     render_explain_human, render_explain_json, render_profile_json, render_why_not_human,
     render_why_not_json, validate_chrome_trace, why_not, Document, Edb, EvalOptions, Fanout,
-    MetricSet, MetricsSink, Model, MonotonicEngine, NoopSink, Optimize, SpanSink, Strategy,
+    MetricSet, MetricsSink, Model, MonotonicEngine, Optimize, ProvenanceSink, SpanSink, Strategy,
     Tracer, Tuple, TRACE_SCHEMA,
 };
 use std::process::ExitCode;
@@ -1037,23 +1037,18 @@ fn cmd_run(path: &str, preds: &[String], opts: &RunOpts) -> Result<(), String> {
     let engine = run_phase(&mut phases, tr, "plan", || {
         MonotonicEngine::with_options(&program, eval_options)
     });
-    let mut provenance = None;
-    // `--stats` and `--metrics` both read the one recorder. It rides the
-    // sink by `&mut`, so it can be read after the run.
+    // `--stats` and `--metrics` both read the one recorder, and
+    // `--explain` the provenance sink. They ride the sink by `&mut`, so
+    // they can be read after the run.
     let mut metrics = (opts.stats || opts.metrics.is_some())
         .then(|| MetricsSink::new(&program, Strategy::SemiNaive));
+    let mut provenance = opts.explain.as_ref().map(|_| ProvenanceSink::new(&program));
     let eval_result: Result<Model, String> = run_phase(&mut phases, tr, "eval", || {
-        let mut sink = Fanout(tr.map(|t| SpanSink::new(&program, t.clone())), &mut metrics);
-        if opts.explain.is_some() {
-            // Provenance capture clamps to one worker and semi-naive; the
-            // sinks still see the whole run.
-            let (model, prov) = engine
-                .evaluate_with_provenance(&Edb::new(), &mut sink)
-                .map_err(|e| e.to_string())?;
-            provenance = Some(prov);
-            return Ok(model);
-        }
-        match &goal {
+        let spans = tr.map(|t| SpanSink::new(&program, t.clone()));
+        let mut sink = Fanout(Fanout(spans, &mut metrics), &mut provenance);
+        // `--explain` explains the full model, so it evaluates every
+        // component even with `--query`.
+        match goal.as_ref().filter(|_| opts.explain.is_none()) {
             Some(goal) => engine.evaluate_goal_with_sink(&Edb::new(), goal, &mut sink),
             None => engine.evaluate_with_sink(&Edb::new(), &mut sink),
         }
@@ -1152,6 +1147,7 @@ fn cmd_run(path: &str, preds: &[String], opts: &RunOpts) -> Result<(), String> {
         eprint!("{report}");
     }
     if let (Some(pred_name), Some(prov)) = (&opts.explain, provenance) {
+        let prov = prov.finish();
         let pred = program
             .find_pred(pred_name)
             .ok_or_else(|| format!("--explain: unknown predicate '{pred_name}'"))?;
@@ -1189,9 +1185,11 @@ fn cmd_explain_goal(path: &str, goal_text: &str, opts: &ExplainOpts) -> Result<(
         }
         return Ok(());
     }
-    let (model, prov) = MonotonicEngine::new(&program)
-        .evaluate_with_provenance(&Edb::new(), &mut NoopSink)
+    let mut sink = ProvenanceSink::new(&program);
+    let model = MonotonicEngine::new(&program)
+        .evaluate_with_sink(&Edb::new(), &mut sink)
         .map_err(|e| e.to_string())?;
+    let prov = sink.finish();
     let node = explain_tree(&program, &prov, model.interp(), goal.pred, &goal.key, opts.depth);
     match opts.format {
         ExplainFormat::Human => print!("{}", render_explain_human(&node)),

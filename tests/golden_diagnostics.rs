@@ -1,7 +1,9 @@
-//! Golden tests for the diagnostics engine: the full `maglog check` output
-//! (human and JSON renderings) is pinned for every sample program under
+//! Golden tests for the CLI's renderings: the full `maglog check` output
+//! (human and JSON renderings) for every sample program under
 //! `programs/` and for the deliberately broken programs under
-//! `tests/broken/`.
+//! `tests/broken/`, and the provenance renderings of every sample
+//! program — `maglog run --explain <pred>` for each predicate of its
+//! model, and `maglog explain --format=json` of its first model fact.
 //!
 //! When a rendering change is intentional, regenerate the files with
 //!
@@ -165,6 +167,52 @@ fn broken_programs_name_their_expected_codes() {
         assert!(
             text.contains(&format!("error[{code}]")),
             "{name}: expected {code}, got:\n{text}"
+        );
+    }
+}
+
+/// The lines of `maglog run <prog>`: the rendered model, one fact a line.
+fn model_lines(prog: &str) -> Vec<String> {
+    let out = maglog(&["run", prog]);
+    assert!(out.status.success(), "{prog}");
+    String::from_utf8_lossy(&out.stdout)
+        .lines()
+        .map(str::to_string)
+        .collect()
+}
+
+#[test]
+fn golden_run_explain_for_sample_programs() {
+    for file in mgl_files("programs") {
+        let prog = rel(&file);
+        let mut preds: Vec<String> = Vec::new();
+        for line in model_lines(&prog) {
+            let pred = line.split('(').next().unwrap().to_string();
+            if !preds.contains(&pred) {
+                preds.push(pred);
+            }
+        }
+        let mut text = String::new();
+        for pred in preds {
+            let out = maglog(&["run", "--explain", &pred, &prog]);
+            assert!(out.status.success(), "{prog} --explain {pred}");
+            text.push_str(&format!("== run --explain {pred}\n"));
+            text.push_str(&String::from_utf8_lossy(&out.stdout));
+        }
+        assert_golden(&format!("{}.run_explain.txt", stem(&file)), &text);
+    }
+}
+
+#[test]
+fn golden_explain_json_for_sample_programs() {
+    for file in mgl_files("programs") {
+        let prog = rel(&file);
+        let fact = model_lines(&prog).into_iter().next().expect("a non-empty model");
+        let out = maglog(&["explain", "--format=json", &prog, &fact]);
+        assert!(out.status.success(), "{prog}: explain {fact}");
+        assert_golden(
+            &format!("{}.explain.json", stem(&file)),
+            &String::from_utf8_lossy(&out.stdout),
         );
     }
 }

@@ -7,7 +7,8 @@
 //! registered at plan time, and records complete aggregate witnesses.
 
 use maglog::engine::{
-    explain_tree, EvalOptions, ExplainKind, MetricsSink, MonotonicEngine, NoopSink, Strategy, Value,
+    explain_tree, EvalOptions, ExplainKind, MetricsSink, MonotonicEngine, ProvenanceSink, Strategy,
+    Value,
 };
 use maglog::prelude::*;
 use maglog::workloads::{programs, random_circuit};
@@ -57,9 +58,11 @@ fn seminaive_circuit_probes_only_plan_registered_indexes() {
 fn circuit_provenance_has_complete_aggregate_witnesses() {
     let p = parse_program(programs::CIRCUIT).unwrap();
     let inst = random_circuit(16, 64, 2, 0.3, 71);
-    let (model, prov) = MonotonicEngine::new(&p)
-        .evaluate_with_provenance(&inst.to_edb(&p), &mut NoopSink)
+    let mut sink = ProvenanceSink::new(&p);
+    let model = MonotonicEngine::new(&p)
+        .evaluate_with_sink(&inst.to_edb(&p), &mut sink)
         .unwrap();
+    let prov = sink.finish();
     let t = p.find_pred("t").unwrap();
     let rel = model.interp().relation(t).expect("t is derived");
     let mut gates = 0;
