@@ -4,9 +4,10 @@
 use maglog_datalog::{parse_program, AggFunc, Program};
 use maglog_engine::{
     explain_tree, parse_goal, render_explain_dot, render_explain_human, render_explain_json,
-    render_why_not_human, why_not, Edb, EvalOptions, ExplainKind, Model, MonotonicEngine,
-    Provenance, ProvenanceSink, Strategy, Tuple, Value,
+    render_why_not_human, why_not, Edb, EvalOptions, ExplainKind, Interp, Model, MonotonicEngine,
+    Provenance, ProvenanceSink, RuleProbe, Strategy, Tuple, Value,
 };
+use maglog_workloads::{programs, random_digraph};
 use std::collections::BTreeSet;
 
 const SHORTEST_PATH: &str = r#"
@@ -293,5 +294,139 @@ fn joint_witnesses_are_the_least_elements_every_time() {
     assert!(tree.contains("(8 of 12 witnesses shown)"), "{tree}");
     for i in 1..=12 {
         assert_eq!(tree.contains(&format!("f(a, b{i})")), i <= 8, "b{i}: {tree}");
+    }
+}
+
+/// The probe of rule `ri` in the why-not report of the absent `goal`
+/// over the database `model`.
+fn probe_of(p: &Program, model: &Interp, goal: &str, ri: usize) -> RuleProbe {
+    let goal = parse_goal(p, goal).unwrap();
+    let report = why_not(p, model, &goal);
+    assert!(report.present.is_none(), "{goal:?} is not in the model");
+    report
+        .rules
+        .into_iter()
+        .find(|r| r.rule == ri)
+        .unwrap_or_else(|| panic!("rule {ri} is probed"))
+}
+
+fn model_of(src: &str) -> (Program, Model) {
+    let p = parse_program(src).unwrap();
+    let model = MonotonicEngine::new(&p).evaluate(&Edb::new()).unwrap();
+    (p, model)
+}
+
+#[test]
+fn why_not_names_a_failing_comparison() {
+    let (p, model) = model_of(
+        r#"
+        declare pred arc/3 cost min_real.
+        arc(a, b, 5).
+        cheap(X, Y) :- arc(X, Y, C), C < 3.
+        "#,
+    );
+    let probe = probe_of(&p, model.interp(), "cheap(a, b)", 0);
+    assert!(probe.unified && probe.derivable.is_none());
+    assert_eq!((probe.reached, probe.total), (1, 2));
+    assert_eq!(probe.failed.as_deref(), Some("5 < 3"));
+}
+
+#[test]
+fn why_not_names_a_failing_assignment() {
+    // `N + 1` has no value for the symbol `x`, so the assignment fails. A
+    // cost computed from a key is not cost-respecting: evaluate unchecked.
+    let p = parse_program(
+        r#"
+        declare pred next/2 cost max_real.
+        num(a, x).
+        next(X, C) :- num(X, N), C = N + 1.
+        "#,
+    )
+    .unwrap();
+    let options = EvalOptions {
+        allow_unchecked: true,
+        ..Default::default()
+    };
+    let model = MonotonicEngine::with_options(&p, options).evaluate(&Edb::new()).unwrap();
+    let probe = probe_of(&p, model.interp(), "next(a)", 0);
+    assert!(probe.unified && probe.derivable.is_none());
+    assert_eq!((probe.reached, probe.total), (1, 2));
+    assert_eq!(probe.failed.as_deref(), Some("C = x + 1"));
+}
+
+#[test]
+fn why_not_names_a_failing_negation() {
+    let (p, model) = model_of(
+        r#"
+        edge(a, b). blocked(b).
+        open(X, Y) :- edge(X, Y), ! blocked(Y).
+        "#,
+    );
+    let probe = probe_of(&p, model.interp(), "open(a, b)", 0);
+    assert!(probe.unified && probe.derivable.is_none());
+    // The goal binds every variable, so the negation is planned first.
+    assert_eq!((probe.reached, probe.total), (0, 2));
+    assert_eq!(probe.failed.as_deref(), Some("! blocked(b)"));
+}
+
+#[test]
+fn why_not_names_a_total_aggregate_the_goal_leaves_ungrouped() {
+    // The grouping variable `G` occurs outside the aggregate only in the
+    // head's cost argument, so the goal `tally(a)` cannot bind it and no
+    // plan can reach the `=` aggregate. The program cannot be evaluated,
+    // so the probe runs against an empty database.
+    let p = parse_program(
+        r#"
+        declare pred tally/2 cost max_real.
+        tally(X, G) :- N = count : item(X, G).
+        "#,
+    )
+    .unwrap();
+    let probe = probe_of(&p, &Interp::new(), "tally(a)", 0);
+    assert!(probe.unified && probe.derivable.is_none());
+    let failed = probe.failed.expect("the refusal is named");
+    assert!(failed.contains("unbound `=`-aggregate grouping"), "got: {failed}");
+    assert!(failed.contains("N = count : item(X, G)"), "got: {failed}");
+}
+
+/// `T_P(M) = M` through why-not: on random shortest-path instances, a key
+/// of `s` or `path` is in the model exactly when some rule's probe finds
+/// its body satisfiable, and the model cost is the least derivable cost.
+#[test]
+fn why_not_derivable_costs_reproduce_the_model() {
+    let p = parse_program(programs::SHORTEST_PATH).unwrap();
+    for seed in 0..4u64 {
+        let g = random_digraph(10 + seed as usize % 3, 2.0, (0.5, 6.0), 40 + seed);
+        let model = MonotonicEngine::new(&p).evaluate(&g.to_edb(&p)).unwrap();
+        let nodes: Vec<String> = (0..g.n).map(|i| format!("n{i}")).collect();
+        let mut vias = nodes.clone();
+        vias.push("direct".to_string());
+        let mut keys = Vec::new();
+        for x in &nodes {
+            for y in &nodes {
+                keys.push(("s", vec![x.clone(), y.clone()]));
+                for z in &vias {
+                    keys.push(("path", vec![x.clone(), z.clone(), y.clone()]));
+                }
+            }
+        }
+        let mut derived = 0;
+        for (pred, args) in keys {
+            let goal = parse_goal(&p, &format!("{pred}({})", args.join(", "))).unwrap();
+            let report = why_not(&p, model.interp(), &goal);
+            let least = report
+                .rules
+                .iter()
+                .filter_map(|r| r.derivable.as_deref())
+                .map(|c| c.parse::<f64>().unwrap())
+                .reduce(f64::min);
+            let held = model
+                .interp()
+                .cost(&p, goal.pred, &goal.key)
+                .map(|c| c.and_then(|v| v.as_f64()).unwrap());
+            assert_eq!(held, least, "seed {seed}: {}", report.goal);
+            derived += usize::from(held.is_some());
+        }
+        assert!(derived > g.arcs.len(), "seed {seed}: a trivial instance");
     }
 }

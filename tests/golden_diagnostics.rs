@@ -3,7 +3,12 @@
 //! `programs/` and for the deliberately broken programs under
 //! `tests/broken/`, and the provenance renderings of every sample
 //! program — `maglog run --explain <pred>` for each predicate of its
-//! model, and `maglog explain --format=json` of its first model fact.
+//! model, and `maglog explain --format=json` of its first model fact —
+//! and its why-not reports: `maglog explain --why-not --format=json` for
+//! each predicate of its model and each key tuple over the constants at
+//! the key positions of its atoms (facts and rules), in lexicographic
+//! order, at most 32 tuples a predicate. Those goals cover absent keys,
+//! probes that fail mid-plan and bodies that are satisfiable.
 //!
 //! When a rendering change is intentional, regenerate the files with
 //!
@@ -13,6 +18,7 @@
 //!
 //! and review the diff.
 
+use maglog::datalog::{parse_program, Atom, Literal, Program};
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
 
@@ -214,5 +220,86 @@ fn golden_explain_json_for_sample_programs() {
             &format!("{}.explain.json", stem(&file)),
             &String::from_utf8_lossy(&out.stdout),
         );
+    }
+}
+
+/// The atoms of `program`: its facts and every atom of its rules.
+fn atoms(program: &Program) -> Vec<&Atom> {
+    let mut atoms: Vec<&Atom> = program.facts.iter().collect();
+    for rule in &program.rules {
+        atoms.push(&rule.head);
+        for lit in &rule.body {
+            match lit {
+                Literal::Pos(a) | Literal::Neg(a) => atoms.push(a),
+                Literal::Agg(agg) => atoms.extend(&agg.conjuncts),
+                Literal::Builtin(_) => {}
+            }
+        }
+    }
+    atoms
+}
+
+/// The distinct constants at the key positions of `atoms`, rendered and
+/// sorted.
+fn key_constants(program: &Program, atoms: &[&Atom]) -> Vec<String> {
+    let mut consts: Vec<String> = atoms
+        .iter()
+        .flat_map(|a| a.key_args(program.is_cost_pred(a.pred)))
+        .filter_map(|t| t.as_const())
+        .map(|c| program.display_const(&c))
+        .collect();
+    consts.sort();
+    consts.dedup();
+    consts
+}
+
+/// The first `cap` key tuples of `arity` over `consts`, in lexicographic
+/// order.
+fn key_tuples(consts: &[String], arity: usize, cap: usize) -> Vec<Vec<String>> {
+    let mut tuples = vec![Vec::new()];
+    for _ in 0..arity {
+        tuples = tuples
+            .iter()
+            .flat_map(|t| {
+                consts.iter().map(move |c| {
+                    let mut t = t.clone();
+                    t.push(c.clone());
+                    t
+                })
+            })
+            .take(cap)
+            .collect();
+    }
+    tuples
+}
+
+#[test]
+fn golden_why_not_for_sample_programs() {
+    for file in mgl_files("programs") {
+        let prog = rel(&file);
+        let program = parse_program(&std::fs::read_to_string(&file).unwrap()).unwrap();
+        let atoms = atoms(&program);
+        let consts = key_constants(&program, &atoms);
+        let mut preds: Vec<String> = Vec::new();
+        for line in model_lines(&prog) {
+            let pred = line.split('(').next().unwrap().to_string();
+            if !preds.contains(&pred) {
+                preds.push(pred);
+            }
+        }
+        let mut text = String::new();
+        for name in preds {
+            let pred = program.find_pred(&name).unwrap();
+            let atom = atoms.iter().find(|a| a.pred == pred).unwrap();
+            let arity = atom.key_args(program.is_cost_pred(pred)).len();
+            for key in key_tuples(&consts, arity, 32) {
+                let goal = format!("{name}({})", key.join(", "));
+                let out = maglog(&["explain", "--why-not", "--format=json", &prog, &goal]);
+                assert!(out.status.success(), "{prog}: explain --why-not {goal}");
+                text.push_str(&format!("== explain --why-not {goal}\n"));
+                text.push_str(&String::from_utf8_lossy(&out.stdout));
+            }
+        }
+        assert_golden(&format!("{}.why_not.txt", stem(&file)), &text);
     }
 }
