@@ -800,7 +800,9 @@ impl<'p> MonotonicEngine<'p> {
                 sink.on(&Event::FireStart { rule: exec.ri });
                 derived.current = slot;
                 let mut binding = Binding::new();
-                exec_steps(ctx, exec.rule, &exec.plan.steps, &mut binding, derived, sink)?;
+                exec_steps(ctx, exec.rule, &exec.plan.steps, &mut binding, sink, &mut |b, sink| {
+                    emit_head(ctx, exec.rule, b, derived, sink)
+                })?;
                 sink.on(&Event::FireEnd { rule: exec.ri });
             }
             return Ok(());
@@ -979,13 +981,14 @@ impl<'p> MonotonicEngine<'p> {
             .db
             .cost(ctx.program, driver.pred, delta_key)
             .unwrap_or(None);
+        let has_cost = ctx.program.is_cost_pred(atom.pred);
         let mut binding = Binding::new();
         let disc = driver.lit as u64 * 1024 + driver.conjunct.unwrap_or(1023) as u64;
         let seeds: Vec<Vec<(Var, Value)>> = if let Some(order) = &driver.discover {
             // Group discovery: match only the key, so a group that held
             // the element under its old cost is reached too, then join the
             // other conjuncts to enumerate the groups the tuple is in.
-            if !match_key_against(ctx.program, atom, delta_key, &mut binding) {
+            if !unify_atom(atom, has_cost, delta_key, None, &mut binding) {
                 return Ok(());
             }
             let Literal::Agg(agg) = &rule.body[driver.lit] else {
@@ -997,7 +1000,7 @@ impl<'p> MonotonicEngine<'p> {
             })?;
             seeds
         } else {
-            if !match_atom_against(ctx.program, atom, delta_key, &cost, &mut binding) {
+            if !unify_atom(atom, has_cost, delta_key, Some(&cost), &mut binding) {
                 return Ok(());
             }
             if driver.relax.is_some() {
@@ -1020,6 +1023,7 @@ impl<'p> MonotonicEngine<'p> {
         for seed in seeds {
             let mut b = Binding {
                 map: seed.iter().cloned().collect(),
+                ..Binding::default()
             };
             if !claim_seed(seen_seeds, shard, exec_index, disc, seed) {
                 continue;
@@ -1035,7 +1039,9 @@ impl<'p> MonotonicEngine<'p> {
                 note(sink, Event::Match { pred, key, cost });
             }
             derived.current = exec_index;
-            let r = exec_steps(ctx, rule, &driver.plan.steps, &mut b, derived, sink);
+            let r = exec_steps(ctx, rule, &driver.plan.steps, &mut b, sink, &mut |b, sink| {
+                emit_head(ctx, rule, b, derived, sink)
+            });
             if seeded {
                 note(sink, Event::Unmatch);
             }
@@ -1079,6 +1085,7 @@ impl<'p> MonotonicEngine<'p> {
         seed_vec.sort_by_key(|(v, _)| *v);
         let mut b = Binding {
             map: seed_vec.iter().cloned().collect(),
+            ..Binding::default()
         };
         let disc = driver.lit as u64 * 1024 + 1022;
         if !claim_seed(seen_seeds, shard, exec_index, disc, seed_vec) {
@@ -1097,7 +1104,9 @@ impl<'p> MonotonicEngine<'p> {
         note(sink, Event::AggResult { lit, func, group, result: element, partial: true });
         derived.current = exec_index;
         derived.joining = true;
-        let r = exec_steps(ctx, rule, &relax.steps, &mut b, derived, sink);
+        let r = exec_steps(ctx, rule, &relax.steps, &mut b, sink, &mut |b, sink| {
+            emit_head(ctx, rule, b, derived, sink)
+        });
         derived.joining = false;
         note(sink, Event::AggEnd);
         sink.on(&Event::FireEnd { rule: exec.ri });
@@ -1163,7 +1172,7 @@ fn relaxation_plan(
     if rule.head.cost_arg(true) != Some(&Term::Var(result)) {
         return None;
     }
-    if !is_join_fold(agg.func, spec.domain) {
+    if !maglog_analysis::prem::is_join_fold(agg.func, spec.domain) {
         return None;
     }
     // The conjunct's cost domain must match the head domain.
@@ -1363,23 +1372,6 @@ struct Driver {
     discover: Option<Vec<usize>>,
 }
 
-/// Is `func` the lattice join-fold of `domain` (so that
-/// `F(S ∪ {d}) = F(S) ⊔ d`)?
-fn is_join_fold(func: AggFunc, domain: maglog_datalog::DomainSpec) -> bool {
-    use maglog_datalog::DomainSpec::*;
-    matches!(
-        (func, domain),
-        (AggFunc::Min, MinReal)
-            | (AggFunc::Max, MaxReal)
-            | (AggFunc::Max, NonNegReal)
-            | (AggFunc::Max, Nat)
-            | (AggFunc::Or, BoolOr)
-            | (AggFunc::And, BoolAnd)
-            | (AggFunc::Union, SetUnion)
-            | (AggFunc::Intersect, SetIntersect)
-    )
-}
-
 /// Per-component aggregate-evaluation totals. `Cell`s because `Ctx` flows
 /// immutably through the recursive step executor.
 #[derive(Debug, Default)]
@@ -1411,10 +1403,13 @@ struct Ctx<'a> {
     agg: &'a AggCounters,
 }
 
-/// A variable binding environment.
+/// A variable binding environment. Its trail lists the variables that
+/// unification bound, latest last, so that a caller can undo back to a
+/// mark (the trail's length when it started).
 #[derive(Clone, Debug, Default)]
 struct Binding {
     map: HashMap<Var, Value>,
+    trail: Vec<Var>,
 }
 
 impl Binding {
@@ -1426,18 +1421,27 @@ impl Binding {
         self.map.get(&v)
     }
 
-    fn bind(&mut self, v: Var, val: Value) {
-        self.map.insert(v, val);
+    /// Unify `t` with `val`: a constant or a bound variable must equal it
+    /// under `eq`, and a free variable is bound to it and trailed.
+    fn unify(&mut self, t: &Term, val: &Value, eq: impl Fn(&Value, &Value) -> bool) -> bool {
+        match t {
+            Term::Const(c) => eq(&Value::from_const(*c), val),
+            Term::Var(v) => match self.map.get(v) {
+                Some(bound) => eq(bound, val),
+                None => {
+                    self.map.insert(*v, val.clone());
+                    self.trail.push(*v);
+                    true
+                }
+            },
+        }
     }
 
-    fn unbind(&mut self, v: Var) {
-        self.map.remove(&v);
-    }
-}
-
-impl From<HashMap<Var, Value>> for Binding {
-    fn from(map: HashMap<Var, Value>) -> Self {
-        Binding { map }
+    /// Unbind the variables trailed since `mark`.
+    fn undo(&mut self, mark: usize) {
+        for v in self.trail.drain(mark..) {
+            self.map.remove(&v);
+        }
     }
 }
 
@@ -1608,19 +1612,23 @@ fn note<S: EventSink>(sink: &mut S, event: Event<'_>) {
     }
 }
 
-/// Execute the remaining plan steps under `binding`, emitting head
-/// derivations into `out` and reporting matched body tuples, aggregate
-/// results and heads to a `sink` that wants provenance.
+/// The continuation [`exec_steps`] calls once per binding that satisfies
+/// every step: [`emit_head`] when firing.
+type HeadCont<'a, S> = dyn FnMut(&Binding, &mut S) -> Result<(), EvalError> + 'a;
+
+/// Execute the remaining plan steps under `binding`, calling `head` for
+/// each binding that satisfies them all, and reporting matched body
+/// tuples and aggregate results to a `sink` that wants provenance.
 fn exec_steps<S: EventSink>(
     ctx: &Ctx<'_>,
     rule: &Rule,
     steps: &[Step],
     binding: &mut Binding,
-    out: &mut RoundBuffer<'_>,
     sink: &mut S,
+    head: &mut HeadCont<'_, S>,
 ) -> Result<(), EvalError> {
     let Some((step, rest)) = steps.split_first() else {
-        return emit_head(ctx, rule, binding, out, sink);
+        return head(binding, sink);
     };
     match step {
         Step::Atom { lit, .. } => {
@@ -1629,7 +1637,7 @@ fn exec_steps<S: EventSink>(
             };
             for_each_match(ctx, atom, binding, &mut |b, key, cost| {
                 note(sink, Event::Match { pred: atom.pred, key, cost });
-                let r = exec_steps(ctx, rule, rest, b, out, sink);
+                let r = exec_steps(ctx, rule, rest, b, sink, head);
                 note(sink, Event::Unmatch);
                 r
             })
@@ -1646,21 +1654,13 @@ fn exec_steps<S: EventSink>(
             let Some(value) = eval_expr(source, binding) else {
                 return Ok(()); // type mismatch: unsatisfiable
             };
-            match binding.get(*target) {
-                Some(existing) => {
-                    if values_equal(existing, &value) {
-                        exec_steps(ctx, rule, rest, binding, out, sink)
-                    } else {
-                        Ok(())
-                    }
-                }
-                None => {
-                    binding.bind(*target, value);
-                    let r = exec_steps(ctx, rule, rest, binding, out, sink);
-                    binding.unbind(*target);
-                    r
-                }
+            let mark = binding.trail.len();
+            let mut r = Ok(());
+            if binding.unify(&Term::Var(*target), &value, values_equal) {
+                r = exec_steps(ctx, rule, rest, binding, sink, head);
             }
+            binding.undo(mark);
+            r
         }
         Step::Test { lit } => {
             let Literal::Builtin(b) = &rule.body[*lit] else {
@@ -1671,7 +1671,7 @@ fn exec_steps<S: EventSink>(
                 return Ok(());
             };
             if compare_values(b.op, &l, &r) {
-                exec_steps(ctx, rule, rest, binding, out, sink)
+                exec_steps(ctx, rule, rest, binding, sink, head)
             } else {
                 Ok(())
             }
@@ -1683,7 +1683,7 @@ fn exec_steps<S: EventSink>(
             if atom_holds(ctx, atom, binding) {
                 Ok(())
             } else {
-                exec_steps(ctx, rule, rest, binding, out, sink)
+                exec_steps(ctx, rule, rest, binding, sink, head)
             }
         }
         Step::Agg {
@@ -1704,7 +1704,7 @@ fn exec_steps<S: EventSink>(
                 conjunct_order,
                 binding,
                 sink,
-                &mut |b, sink| exec_steps(ctx, rule, rest, b, out, sink),
+                &mut |b, sink| exec_steps(ctx, rule, rest, b, sink, head),
             )
         }
     }
@@ -1794,6 +1794,17 @@ fn for_each_match(
         .map(|t| resolve_term(t, binding))
         .collect();
     let all_keys_bound = key_vals.iter().all(Option::is_some);
+    // Unify with one stored tuple and continue under the extension.
+    let mark = binding.trail.len();
+    let mut visit = |binding: &mut Binding, key: &Tuple, cost: &Option<Value>| {
+        let r = if unify_atom(atom, has_cost, key, Some(cost), binding) {
+            k(binding, key, cost)
+        } else {
+            Ok(())
+        };
+        binding.undo(mark);
+        r
+    };
 
     // Fast path: fully bound key — direct lookup (with default fallback).
     if all_keys_bound {
@@ -1801,7 +1812,7 @@ fn for_each_match(
         let Some(cost) = ctx.db.cost(ctx.program, atom.pred, &key) else {
             return Ok(());
         };
-        return try_cost_and_continue(atom, has_cost, &key, &cost, binding, k);
+        return visit(binding, &key, &cost);
     }
 
     let Some(rel) = ctx.db.relation(atom.pred) else {
@@ -1810,10 +1821,11 @@ fn for_each_match(
 
     // Indexed probe on the signature of every bound key position: the
     // postings hold exactly the keys matching all bound positions, so the
-    // per-key re-check below only confirms (and binds the free positions).
-    // Plan-registered signatures hit a warm index; anything else (e.g.
-    // aggregate-driver reruns with pre-bound groupings) builds its index
-    // lazily. Sig 0 (nothing bound) walks the insertion log directly.
+    // per-key unification below only confirms (and binds the free
+    // positions). Plan-registered signatures hit a warm index; anything
+    // else (e.g. aggregate-driver reruns with pre-bound groupings) builds
+    // its index lazily. Sig 0 (nothing bound) walks the insertion log
+    // directly.
     let mut sig: Sig = 0;
     let mut projection: Vec<Value> = Vec::new();
     for (i, v) in key_vals.iter().enumerate() {
@@ -1838,140 +1850,36 @@ fn for_each_match(
     };
 
     for key in candidates {
-        if key.arity() != key_args.len() {
-            continue;
-        }
-        // Match each key position, tracking fresh bindings for undo.
-        let mut fresh: Vec<Var> = Vec::new();
-        let mut ok = true;
-        for (i, t) in key_args.iter().enumerate() {
-            match t {
-                Term::Const(c) => {
-                    if Value::from_const(*c) != key[i] {
-                        ok = false;
-                        break;
-                    }
-                }
-                Term::Var(v) => match binding.get(*v) {
-                    Some(bound) => {
-                        if *bound != key[i] {
-                            ok = false;
-                            break;
-                        }
-                    }
-                    None => {
-                        binding.bind(*v, key[i].clone());
-                        fresh.push(*v);
-                    }
-                },
-            }
-        }
-        if ok {
-            let cost = rel.get(key).cloned().unwrap_or(None);
-            try_cost_and_continue(atom, has_cost, key, &cost, binding, k)?;
-        }
-        for v in fresh {
-            binding.unbind(v);
-        }
+        visit(binding, key, rel.get(key).unwrap_or(&None))?;
     }
     Ok(())
 }
 
-/// Match the cost argument (if any) and continue.
-fn try_cost_and_continue(
+/// Unify `atom` with a stored tuple: its key arguments with `key` under
+/// `==` and, given the stored `cost`, its cost argument with that cost
+/// under [`values_equal`] (a missing cost unifies with nothing). Used by
+/// [`for_each_match`], and by semi-naive drivers against a delta tuple; a
+/// group-discovering driver passes no cost, leaving the cost argument
+/// unbound.
+fn unify_atom(
     atom: &Atom,
     has_cost: bool,
     key: &Tuple,
-    cost: &Option<Value>,
-    binding: &mut Binding,
-    k: &mut MatchCont<'_>,
-) -> Result<(), EvalError> {
-    if !has_cost {
-        return k(binding, key, cost);
-    }
-    let cost_term = atom.cost_arg(true).expect("cost predicate");
-    let Some(cv) = cost else {
-        return Ok(());
-    };
-    match cost_term {
-        Term::Const(c) => {
-            if values_equal(&Value::from_const(*c), cv) {
-                k(binding, key, cost)
-            } else {
-                Ok(())
-            }
-        }
-        Term::Var(v) => match binding.get(*v) {
-            Some(bound) => {
-                if values_equal(bound, cv) {
-                    k(binding, key, cost)
-                } else {
-                    Ok(())
-                }
-            }
-            None => {
-                binding.bind(*v, cv.clone());
-                let r = k(binding, key, cost);
-                binding.unbind(*v);
-                r
-            }
-        },
-    }
-}
-
-/// Match an atom against an explicit (key, cost) pair — used by semi-naive
-/// drivers.
-fn match_atom_against(
-    program: &Program,
-    atom: &Atom,
-    key: &Tuple,
-    cost: &Option<Value>,
+    cost: Option<&Option<Value>>,
     binding: &mut Binding,
 ) -> bool {
-    if !match_key_against(program, atom, key, binding) {
-        return false;
-    }
-    if !program.is_cost_pred(atom.pred) {
-        return true;
-    }
-    let Some(cv) = cost else { return false };
-    match atom.cost_arg(true).expect("cost predicate") {
-        Term::Const(c) => values_equal(&Value::from_const(*c), cv),
-        Term::Var(v) => match binding.get(*v) {
-            Some(bound) => values_equal(bound, cv),
-            None => {
-                binding.bind(*v, cv.clone());
-                true
-            }
-        },
-    }
-}
-
-/// Match only the key positions of an atom against `key`, leaving its cost
-/// argument unbound — used by group-discovering drivers.
-fn match_key_against(program: &Program, atom: &Atom, key: &Tuple, binding: &mut Binding) -> bool {
-    let key_args = atom.key_args(program.is_cost_pred(atom.pred));
-    if key_args.len() != key.arity() {
-        return false;
-    }
-    for (i, t) in key_args.iter().enumerate() {
-        match t {
-            Term::Const(c) => {
-                if Value::from_const(*c) != key[i] {
-                    return false;
-                }
-            }
-            Term::Var(v) => match binding.get(*v) {
-                Some(bound) => {
-                    if *bound != key[i] {
-                        return false;
-                    }
-                }
-                None => binding.bind(*v, key[i].clone()),
-            },
+    let key_args = atom.key_args(has_cost);
+    key_args.len() == key.arity()
+        && key_args
+            .iter()
+            .zip(key.0.iter())
+            .all(|(t, v)| binding.unify(t, v, Value::eq))
+        && match (cost, atom.cost_arg(has_cost)) {
+            (Some(cost), Some(t)) => cost
+                .as_ref()
+                .is_some_and(|cv| binding.unify(t, cv, values_equal)),
+            _ => true,
         }
-    }
-    true
 }
 
 /// Does a ground atom hold in the database (with default fallback)?
@@ -2084,49 +1992,20 @@ fn eval_aggregate<S: EventSink>(
         let Some(result) = acc.finish() else {
             continue; // undefined (empty avg / type error): unsatisfiable
         };
-        // Bind grouping vars (fresh ones only) and the result.
-        let mut fresh: Vec<Var> = Vec::new();
-        let mut ok = true;
-        for (v, val) in grouping_vars.iter().zip(&gv) {
-            match binding.get(*v) {
-                Some(bound) => {
-                    if bound != val {
-                        ok = false;
-                        break;
-                    }
-                }
-                None => {
-                    binding.bind(*v, val.clone());
-                    fresh.push(*v);
-                }
-            }
-        }
-        if ok {
+        // Bind the grouping variables (fresh ones only) and the result.
+        let mark = binding.trail.len();
+        if grouping_vars
+            .iter()
+            .zip(&gv)
+            .all(|(v, val)| binding.unify(&Term::Var(*v), val, Value::eq))
+        {
             let func = agg.func;
             note(sink, Event::AggResult { lit, func, group: &gv, result: &result, partial: false });
-            match &agg.result {
-                Term::Const(c) => {
-                    if values_equal(&Value::from_const(*c), &result) {
-                        k(binding, sink)?;
-                    }
-                }
-                Term::Var(rv) => match binding.get(*rv) {
-                    Some(bound) => {
-                        if values_equal(bound, &result) {
-                            k(binding, sink)?;
-                        }
-                    }
-                    None => {
-                        binding.bind(*rv, result.clone());
-                        k(binding, sink)?;
-                        binding.unbind(*rv);
-                    }
-                },
+            if binding.unify(&agg.result, &result, values_equal) {
+                k(binding, sink)?;
             }
         }
-        for v in fresh {
-            binding.unbind(v);
-        }
+        binding.undo(mark);
     }
     note(sink, Event::AggEnd);
     Ok(())
@@ -2258,28 +2137,12 @@ pub fn why_not(program: &Program, db: &Interp, goal: &Goal) -> WhyNotReport {
         }
         let rule_text = program.display_rule(rule);
         let mut binding = Binding::new();
-        let mut unified = rule.head.key_args(has_cost).len() == goal.key.arity();
-        if unified {
-            for (t, val) in rule.head.key_args(has_cost).iter().zip(goal.key.0.iter()) {
-                match t {
-                    Term::Const(c) => {
-                        if !values_equal(&Value::from_const(*c), val) {
-                            unified = false;
-                            break;
-                        }
-                    }
-                    Term::Var(v) => match binding.get(*v) {
-                        Some(bound) => {
-                            if !values_equal(bound, val) {
-                                unified = false;
-                                break;
-                            }
-                        }
-                        None => binding.bind(*v, val.clone()),
-                    },
-                }
-            }
-        }
+        let key_args = rule.head.key_args(has_cost);
+        let unified = key_args.len() == goal.key.arity()
+            && key_args
+                .iter()
+                .zip(goal.key.0.iter())
+                .all(|(t, val)| binding.unify(t, val, values_equal));
         if !unified {
             rules.push(RuleProbe {
                 rule: ri,
@@ -2308,27 +2171,49 @@ pub fn why_not(program: &Program, db: &Interp, goal: &Goal) -> WhyNotReport {
                 continue;
             }
         };
+        // Run the firing interpreter on ever longer plan prefixes, each from
+        // the head-unified binding, keeping the first binding (in DFS order)
+        // that satisfies the prefix. The deepest satisfiable prefix is
+        // `reached`; a prefix that fails (e.g. a `=` aggregate whose
+        // groupings the goal left unbound) is one no binding got past.
         let total = plan.steps.len();
-        let mut st = ProbeState::default();
-        // A probe error (e.g. a `=` aggregate whose groupings the goal
-        // left unbound) leaves the failure description of the step that
-        // raised it — exactly the answer we want.
-        let _ = probe_steps(&ctx, rule, &plan.steps, 0, &mut binding, &mut st);
-        let derivable = if st.satisfied {
-            Some(match (&st.derived_cost, has_cost) {
-                (Some(v), true) => v.display(program),
-                _ => "true".to_string(),
-            })
-        } else {
-            None
-        };
+        let mut reached = 0;
+        let mut witness = binding.clone();
+        while reached < total {
+            let mut first = None;
+            let ran = exec_steps(
+                &ctx,
+                rule,
+                &plan.steps[..=reached],
+                &mut binding.clone(),
+                &mut NoopSink,
+                &mut |b, _| {
+                    first.get_or_insert_with(|| b.clone());
+                    Ok(())
+                },
+            );
+            match (ran, first) {
+                (Ok(()), Some(b)) => {
+                    reached += 1;
+                    witness = b;
+                }
+                _ => break,
+            }
+        }
+        let failed = plan.steps.get(reached);
+        let derivable = failed.is_none().then(|| {
+            rule.head
+                .cost_arg(has_cost)
+                .and_then(|t| resolve_term(t, &witness))
+                .map_or_else(|| "true".to_string(), |v| v.display(program))
+        });
         rules.push(RuleProbe {
             rule: ri,
             rule_text,
             unified: true,
-            reached: st.frontier,
+            reached: if failed.is_none() { total.saturating_sub(1) } else { reached },
             total,
-            failed: if st.satisfied { None } else { st.desc },
+            failed: failed.map(|step| describe_step(program, rule, step, &witness)),
             derivable,
         });
     }
@@ -2339,136 +2224,8 @@ pub fn why_not(program: &Program, db: &Interp, goal: &Goal) -> WhyNotReport {
     }
 }
 
-#[derive(Default)]
-struct ProbeState {
-    /// Deepest plan step any binding attempted.
-    frontier: usize,
-    /// That step's literal, rendered with the bindings that reached it.
-    desc: Option<String>,
-    satisfied: bool,
-    derived_cost: Option<Value>,
-}
-
-fn probe_steps(
-    ctx: &Ctx<'_>,
-    rule: &Rule,
-    steps: &[Step],
-    idx: usize,
-    binding: &mut Binding,
-    st: &mut ProbeState,
-) -> Result<(), EvalError> {
-    let Some(step) = steps.get(idx) else {
-        if !st.satisfied {
-            st.satisfied = true;
-            let has_cost = ctx.program.is_cost_pred(rule.head.pred);
-            st.derived_cost = rule
-                .head
-                .cost_arg(has_cost)
-                .and_then(|t| resolve_term(t, binding));
-        }
-        return Ok(());
-    };
-    if st.desc.is_none() || idx > st.frontier {
-        st.frontier = idx;
-        st.desc = Some(describe_step(ctx.program, rule, step, binding));
-    }
-    match step {
-        Step::Atom { lit, .. } => {
-            let Literal::Pos(atom) = &rule.body[*lit] else {
-                unreachable!("Atom step on non-positive literal")
-            };
-            for_each_match(ctx, atom, binding, &mut |b, _key, _cost| {
-                probe_steps(ctx, rule, steps, idx + 1, b, st)
-            })
-        }
-        Step::Assign {
-            lit,
-            target,
-            target_is_lhs,
-        } => {
-            let Literal::Builtin(b) = &rule.body[*lit] else {
-                unreachable!("Assign step on non-builtin")
-            };
-            let source = if *target_is_lhs { &b.rhs } else { &b.lhs };
-            let Some(value) = eval_expr(source, binding) else {
-                return Ok(());
-            };
-            match binding.get(*target) {
-                Some(existing) => {
-                    if values_equal(existing, &value) {
-                        probe_steps(ctx, rule, steps, idx + 1, binding, st)
-                    } else {
-                        Ok(())
-                    }
-                }
-                None => {
-                    binding.bind(*target, value);
-                    let r = probe_steps(ctx, rule, steps, idx + 1, binding, st);
-                    binding.unbind(*target);
-                    r
-                }
-            }
-        }
-        Step::Test { lit } => {
-            let Literal::Builtin(b) = &rule.body[*lit] else {
-                unreachable!("Test step on non-builtin")
-            };
-            let (Some(l), Some(r)) = (eval_expr(&b.lhs, binding), eval_expr(&b.rhs, binding))
-            else {
-                return Ok(());
-            };
-            if compare_values(b.op, &l, &r) {
-                probe_steps(ctx, rule, steps, idx + 1, binding, st)
-            } else {
-                Ok(())
-            }
-        }
-        Step::Neg { lit } => {
-            let Literal::Neg(atom) = &rule.body[*lit] else {
-                unreachable!("Neg step on non-negative literal")
-            };
-            if atom_holds(ctx, atom, binding) {
-                Ok(())
-            } else {
-                probe_steps(ctx, rule, steps, idx + 1, binding, st)
-            }
-        }
-        Step::Agg {
-            lit,
-            groupings,
-            conjunct_order,
-            ..
-        } => {
-            let Literal::Agg(agg) = &rule.body[*lit] else {
-                unreachable!("Agg step on non-aggregate")
-            };
-            eval_aggregate(
-                ctx,
-                rule,
-                *lit,
-                agg,
-                groupings,
-                conjunct_order,
-                binding,
-                &mut NoopSink,
-                &mut |b, _| probe_steps(ctx, rule, steps, idx + 1, b, st),
-            )
-        }
-    }
-}
-
-fn step_lit(step: &Step) -> usize {
-    match step {
-        Step::Atom { lit, .. }
-        | Step::Assign { lit, .. }
-        | Step::Test { lit }
-        | Step::Neg { lit }
-        | Step::Agg { lit, .. } => *lit,
-    }
-}
-
 fn describe_step(program: &Program, rule: &Rule, step: &Step, binding: &Binding) -> String {
-    subst_literal(program, &rule.body[step_lit(step)], binding)
+    subst_literal(program, &rule.body[step.lit()], binding)
 }
 
 /// Render a term with the probe's current bindings substituted in.

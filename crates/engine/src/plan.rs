@@ -155,6 +155,19 @@ pub enum Step {
     },
 }
 
+impl Step {
+    /// The body index of the literal this step evaluates.
+    pub(crate) fn lit(&self) -> usize {
+        match self {
+            Step::Atom { lit, .. }
+            | Step::Assign { lit, .. }
+            | Step::Test { lit }
+            | Step::Neg { lit }
+            | Step::Agg { lit, .. } => *lit,
+        }
+    }
+}
+
 /// The signature (bitmask of bound key positions) `atom` would probe under
 /// `bound`: constants and bound variables contribute their position.
 fn atom_sig(program: &Program, atom: &Atom, bound: &BTreeSet<Var>) -> Sig {
