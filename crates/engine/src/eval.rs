@@ -2211,7 +2211,7 @@ pub fn why_not(program: &Program, db: &Interp, goal: &Goal) -> WhyNotReport {
             rule: ri,
             rule_text,
             unified: true,
-            reached: if failed.is_none() { total.saturating_sub(1) } else { reached },
+            reached,
             total,
             failed: failed.map(|step| describe_step(program, rule, step, &witness)),
             derivable,
