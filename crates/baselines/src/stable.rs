@@ -21,8 +21,8 @@ use maglog_engine::{Edb, Interp};
 /// Is `candidate` (CDB atoms only, or CDB∪EDB) a K&S-stable model of
 /// `program` over `edb`?
 ///
-/// `candidate` must contain the EDB facts as well (the check compares full
-/// interpretations); use [`stable_check_with_edb`] to have them merged in.
+/// `candidate` must contain the EDB facts as well: the check compares full
+/// interpretations.
 pub fn is_stable_model(
     program: &Program,
     edb: &Edb,

@@ -886,7 +886,7 @@ pub struct GateVerdict {
     /// failure: new workloads must be able to land before their baseline).
     pub missing: usize,
     /// Each failing cell's `median_secs` delta, with the counters that
-    /// moved on the same cell in [`COUNTERS`] order.
+    /// moved on the same cell, in the order of the compared work counters.
     pub failures: Vec<(DiffEntry, Vec<DiffEntry>)>,
 }
 

@@ -5,7 +5,7 @@
 //! loop in `eval.rs`; sequential evaluation is its one-shard case. With
 //! `--parallel[=N]` each round's firing phase splits into `N` shards on
 //! scoped threads: every shard walks the full round delta but fires only
-//! the seeds whose hash lands in it ([`shard_of`]). A given seed always
+//! the seeds whose hash lands in it (`shard_of`). A given seed always
 //! hashes to the same shard, so shard-local seed dedup is global dedup and
 //! the union of the shard firings is exactly the one-shard firing set. The
 //! shards' round buffers meet at the round barrier, where a key buffered by

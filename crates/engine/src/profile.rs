@@ -75,7 +75,7 @@ pub struct ComponentProfile {
     /// Rounds to fixpoint (for greedy components, one per batch settled at
     /// one cost, plus the closing round).
     pub rounds: usize,
-    /// Detail for the first [`MAX_ROUND_DETAIL`] rounds.
+    /// Detail for the first `MAX_ROUND_DETAIL` rounds.
     pub rounds_detail: Vec<RoundProfile>,
     /// Rounds beyond the detail cap (counted, not detailed).
     pub rounds_elided: usize,

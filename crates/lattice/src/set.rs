@@ -5,7 +5,7 @@
 //! [`crate::Dual`], of the `intersection` aggregate. The `⊇-ordered` row of
 //! Figure 1 needs a greatest element (the universe `S`); since Rust types
 //! cannot carry an arbitrary runtime universe in a `top()` constant, the
-//! dual's `BoundedJoin` is provided by [`PowerSet::complement_free_dual`]
+//! dual's `BoundedJoin` is provided by complement-free dual
 //! semantics in the engine, which tracks the universe explicitly. Here we
 //! give `PowerSet` itself the full `CompleteLattice` structure only when the
 //! element type enumerates a finite universe via [`FiniteUniverse`].

@@ -17,7 +17,7 @@
 //!   stable semantics, Ganguly–Greco–Zaniolo rewriting, and direct
 //!   algorithms (Dijkstra et al.);
 //! * [`workloads`] — paper programs and synthetic instance generators;
-//! * [`bench`] — the measurement harness behind `maglog bench` and the
+//! * [`bench`](mod@bench) — the measurement harness behind `maglog bench` and the
 //!   experiments binary (statistics, the `maglog-bench-v2` schema, and
 //!   regression gating).
 //!
