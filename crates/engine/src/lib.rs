@@ -48,6 +48,7 @@ pub mod edb;
 pub mod error;
 pub mod eval;
 pub mod events;
+mod fire;
 pub mod interp;
 pub mod jsonish;
 pub mod metrics;
@@ -66,7 +67,7 @@ pub use diff::{
 };
 pub use edb::Edb;
 pub use error::EvalError;
-pub use eval::{why_not, EvalOptions, EvalStats, MonotonicEngine, Strategy};
+pub use eval::{EvalOptions, EvalStats, MonotonicEngine, Strategy};
 pub use plan::{prem_rewrites, Optimize, Rewrites};
 pub use events::{
     Clock, Event, EventSink, Fanout, InsertOutcome, ManualClock, NoopSink, SystemClock,
@@ -85,7 +86,7 @@ pub use trace::{
 };
 pub use provenance::{
     explain_tree, parse_goal, render_explain_dot, render_explain_human, render_explain_json,
-    render_why_not_human, render_why_not_json, AggWitness, BodyAtom, DerivationNode, ExplainAgg,
+    render_why_not_human, render_why_not_json, why_not, AggWitness, BodyAtom, DerivationNode, ExplainAgg,
     ExplainKind, ExplainNode, Goal, Provenance, ProvenanceSink, RuleProbe, WhyNotReport,
 };
 pub use value::{CostValue, RuntimeDomain, Value};

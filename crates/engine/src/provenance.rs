@@ -21,12 +21,14 @@
 //! order, so one program always explains the same way.
 
 use crate::aggregate;
-use crate::events::{Event, EventSink, InsertOutcome};
+use crate::events::{Event, EventSink, InsertOutcome, NoopSink};
+use crate::fire::{exec_steps, resolve_term, values_equal, AggCounters, Binding, Ctx};
+use crate::plan::{plan_rule, Step};
 use crate::interp::{Interp, Tuple};
 use crate::jsonish::json_str;
 use crate::value::{RuntimeDomain, Value};
-use maglog_datalog::{AggFunc, Pred, Program};
-use std::collections::HashMap;
+use maglog_datalog::{AggEq, AggFunc, Atom, BinOp, CmpOp, Expr, Literal, Pred, Program, Rule, Term, Var};
+use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
 
 /// Cap on recorded witnesses per aggregate group when every element is
@@ -977,6 +979,223 @@ pub fn render_why_not_json(path: &str, report: &WhyNotReport) -> String {
     }
     out.push_str("\n  ]\n}\n");
     out
+}
+
+// ---------------------------------------------------------------------
+// Why-not probing
+// ---------------------------------------------------------------------
+
+/// Probe every rule whose head predicate matches an absent (or
+/// differently-costed) goal against the *final* model: unify the head with
+/// the goal constants, then walk the rule's plan recording the deepest
+/// subgoal any binding reached — the first failing subgoal is the why-not
+/// answer.
+pub fn why_not(program: &Program, db: &Interp, goal: &Goal) -> WhyNotReport {
+    let goal_text = format!(
+        "{}({})",
+        program.pred_name(goal.pred),
+        goal.key
+            .0
+            .iter()
+            .map(|v| v.display(program))
+            .collect::<Vec<_>>()
+            .join(", ")
+    );
+    let present = db
+        .cost(program, goal.pred, &goal.key)
+        .map(|c| c.map(|v| v.display(program)));
+    let counters = AggCounters::default();
+    let ctx = Ctx {
+        program,
+        db,
+        agg: &counters,
+    };
+    let has_cost = program.is_cost_pred(goal.pred);
+    let mut rules = Vec::new();
+    for (ri, rule) in program.rules.iter().enumerate() {
+        if rule.head.pred != goal.pred {
+            continue;
+        }
+        let rule_text = program.display_rule(rule);
+        let mut binding = Binding::new();
+        let key_args = rule.head.key_args(has_cost);
+        let unified = key_args.len() == goal.key.arity()
+            && key_args
+                .iter()
+                .zip(goal.key.0.iter())
+                .all(|(t, val)| binding.unify(t, val, values_equal));
+        if !unified {
+            rules.push(RuleProbe {
+                rule: ri,
+                rule_text,
+                unified: false,
+                reached: 0,
+                total: 0,
+                failed: None,
+                derivable: None,
+            });
+            continue;
+        }
+        let seed: BTreeSet<Var> = binding.map.keys().copied().collect();
+        let plan = match plan_rule(program, rule, &seed, None) {
+            Ok(p) => p,
+            Err(e) => {
+                rules.push(RuleProbe {
+                    rule: ri,
+                    rule_text,
+                    unified: true,
+                    reached: 0,
+                    total: 0,
+                    failed: Some(format!("(unplannable: {e})")),
+                    derivable: None,
+                });
+                continue;
+            }
+        };
+        // Run the firing interpreter on ever longer plan prefixes, each from
+        // the head-unified binding, keeping the first binding (in DFS order)
+        // that satisfies the prefix. The deepest satisfiable prefix is
+        // `reached`; a prefix that fails (e.g. a `=` aggregate whose
+        // groupings the goal left unbound) is one no binding got past.
+        let total = plan.steps.len();
+        let mut reached = 0;
+        let mut witness = binding.clone();
+        while reached < total {
+            let mut first = None;
+            let ran = exec_steps(
+                &ctx,
+                rule,
+                &plan.steps[..=reached],
+                &mut binding.clone(),
+                &mut NoopSink,
+                &mut |b, _| {
+                    first.get_or_insert_with(|| b.clone());
+                    Ok(())
+                },
+            );
+            match (ran, first) {
+                (Ok(()), Some(b)) => {
+                    reached += 1;
+                    witness = b;
+                }
+                _ => break,
+            }
+        }
+        let failed = plan.steps.get(reached);
+        let derivable = failed.is_none().then(|| {
+            rule.head
+                .cost_arg(has_cost)
+                .and_then(|t| resolve_term(t, &witness))
+                .map_or_else(|| "true".to_string(), |v| v.display(program))
+        });
+        rules.push(RuleProbe {
+            rule: ri,
+            rule_text,
+            unified: true,
+            reached,
+            total,
+            failed: failed.map(|step| describe_step(program, rule, step, &witness)),
+            derivable,
+        });
+    }
+    WhyNotReport {
+        goal: goal_text,
+        present,
+        rules,
+    }
+}
+
+fn describe_step(program: &Program, rule: &Rule, step: &Step, binding: &Binding) -> String {
+    subst_literal(program, &rule.body[step.lit()], binding)
+}
+
+/// Render a term with the probe's current bindings substituted in.
+fn subst_term(program: &Program, t: &Term, binding: &Binding) -> String {
+    match t {
+        Term::Const(c) => Value::from_const(*c).display(program),
+        Term::Var(v) => match binding.get(*v) {
+            Some(val) => val.display(program),
+            None => program.var_name(*v),
+        },
+    }
+}
+
+fn subst_atom(program: &Program, atom: &Atom, binding: &Binding) -> String {
+    format!(
+        "{}({})",
+        program.pred_name(atom.pred),
+        atom.args
+            .iter()
+            .map(|t| subst_term(program, t, binding))
+            .collect::<Vec<_>>()
+            .join(", ")
+    )
+}
+
+fn subst_expr(program: &Program, e: &Expr, binding: &Binding) -> String {
+    match e {
+        Expr::Term(t) => subst_term(program, t, binding),
+        Expr::Neg(inner) => format!("-({})", subst_expr(program, inner, binding)),
+        Expr::Bin(op, l, r) => {
+            let ls = subst_expr(program, l, binding);
+            let rs = subst_expr(program, r, binding);
+            match op {
+                BinOp::Add => format!("{ls} + {rs}"),
+                BinOp::Sub => format!("{ls} - {rs}"),
+                BinOp::Mul => format!("{ls} * {rs}"),
+                BinOp::Div => format!("{ls} / {rs}"),
+                BinOp::Min => format!("min({ls}, {rs})"),
+                BinOp::Max => format!("max({ls}, {rs})"),
+            }
+        }
+    }
+}
+
+fn subst_literal(program: &Program, lit: &Literal, binding: &Binding) -> String {
+    match lit {
+        Literal::Pos(a) => subst_atom(program, a, binding),
+        Literal::Neg(a) => format!("! {}", subst_atom(program, a, binding)),
+        Literal::Builtin(b) => {
+            let op = match b.op {
+                CmpOp::Eq => "=",
+                CmpOp::Ne => "!=",
+                CmpOp::Lt => "<",
+                CmpOp::Le => "<=",
+                CmpOp::Gt => ">",
+                CmpOp::Ge => ">=",
+            };
+            format!(
+                "{} {op} {}",
+                subst_expr(program, &b.lhs, binding),
+                subst_expr(program, &b.rhs, binding)
+            )
+        }
+        Literal::Agg(agg) => {
+            let eq = match agg.eq {
+                AggEq::Total => "=",
+                AggEq::Restricted => "=r",
+            };
+            let mvar = agg
+                .multiset_var
+                .map(|v| format!(" {}", program.var_name(v)))
+                .unwrap_or_default();
+            let conj: Vec<String> = agg
+                .conjuncts
+                .iter()
+                .map(|a| subst_atom(program, a, binding))
+                .collect();
+            let conj = if conj.len() == 1 {
+                conj[0].clone()
+            } else {
+                format!("[{}]", conj.join(", "))
+            };
+            format!(
+                "{} {eq} {}{mvar} : {conj}",
+                subst_term(program, &agg.result, binding),
+                agg.func.name()
+            )
+        }
+    }
 }
 
 #[cfg(test)]
