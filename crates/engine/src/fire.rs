@@ -259,7 +259,7 @@ pub(crate) fn note<S: EventSink>(sink: &mut S, event: Event<'_>) {
 
 /// The continuation [`exec_steps`] calls once per binding that satisfies
 /// every step: [`emit_head`] when firing.
-pub(crate) type HeadCont<'a, S> = dyn FnMut(&Binding, &mut S) -> Result<(), EvalError> + 'a;
+type HeadCont<'a, S> = dyn FnMut(&Binding, &mut S) -> Result<(), EvalError> + 'a;
 
 /// Execute the remaining plan steps under `binding`, calling `head` for
 /// each binding that satisfies them all, and reporting matched body
@@ -420,13 +420,13 @@ pub(crate) fn resolve_term(t: &Term, binding: &Binding) -> Option<Value> {
 
 /// Continuation invoked once per match with the extended binding, the
 /// matched key, and its stored cost.
-pub(crate) type MatchCont<'a> = dyn FnMut(&mut Binding, &Tuple, &Option<Value>) -> Result<(), EvalError> + 'a;
+type MatchCont<'a> = dyn FnMut(&mut Binding, &Tuple, &Option<Value>) -> Result<(), EvalError> + 'a;
 
 /// Enumerate matches of `atom` against the database under `binding`,
 /// calling `k` for each extension with the matched key and its stored
 /// cost. Handles default-value predicates: a fully-keyed lookup that
 /// misses the core yields the default cost.
-pub(crate) fn for_each_match(
+fn for_each_match(
     ctx: &Ctx<'_>,
     atom: &Atom,
     binding: &mut Binding,
@@ -528,7 +528,7 @@ pub(crate) fn unify_atom(
 }
 
 /// Does a ground atom hold in the database (with default fallback)?
-pub(crate) fn atom_holds(ctx: &Ctx<'_>, atom: &Atom, binding: &Binding) -> bool {
+fn atom_holds(ctx: &Ctx<'_>, atom: &Atom, binding: &Binding) -> bool {
     let has_cost = ctx.program.is_cost_pred(atom.pred);
     let key: Option<Vec<Value>> = atom
         .key_args(has_cost)
@@ -555,7 +555,7 @@ pub(crate) fn atom_holds(ctx: &Ctx<'_>, atom: &Atom, binding: &Binding) -> bool 
 /// Evaluate the aggregate subgoal: enumerate the conjunction, group, apply
 /// the function, and continue per satisfying (grouping, result) binding.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn eval_aggregate<S: EventSink>(
+fn eval_aggregate<S: EventSink>(
     ctx: &Ctx<'_>,
     rule: &Rule,
     lit: usize,
@@ -682,7 +682,7 @@ pub(crate) fn enumerate_conjuncts<S: EventSink>(
 
 /// Evaluate an arithmetic expression. `None` on unbound variables or type
 /// mismatches (the branch is then unsatisfiable).
-pub(crate) fn eval_expr(e: &Expr, binding: &Binding) -> Option<Value> {
+fn eval_expr(e: &Expr, binding: &Binding) -> Option<Value> {
     match e {
         Expr::Term(t) => resolve_term(t, binding),
         Expr::Neg(inner) => {
@@ -726,7 +726,7 @@ pub(crate) fn values_equal(a: &Value, b: &Value) -> bool {
     }
 }
 
-pub(crate) fn compare_values(op: CmpOp, a: &Value, b: &Value) -> bool {
+fn compare_values(op: CmpOp, a: &Value, b: &Value) -> bool {
     match op {
         CmpOp::Eq => values_equal(a, b),
         CmpOp::Ne => !values_equal(a, b),
